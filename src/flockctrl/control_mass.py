@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlPiece, ControlPlan, Trajectory, integrate
+from .dynamics import ControlPiece, ControlPlan, Trajectory, append_samples, integrate
 from .ensemble import (
     Ensemble,
     SupportBox,
@@ -391,9 +391,13 @@ def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float)
 
 
 def _run_axis_loop(
-    kernel, e, c, axis, eta, dt_max, t_start, step_budget, records, plan, traj
+    kernel, e, c, axis, eta, dt_max, t_start, step_budget, records, pieces, samples
 ):
-    """Iterate fundamental steps on one axis until its W drops to eta."""
+    """Iterate fundamental steps on one axis until its W drops to eta.
+
+    Appends each step's record, plan pieces and trajectory samples to the
+    running lists, so the loop stays linear in the number of steps.
+    """
     while support_box(e).w[axis] > eta:
         if len(records) >= step_budget:
             raise StrategyBudgetError(
@@ -404,10 +408,10 @@ def _run_axis_loop(
             kernel, e, c, dt_max=dt_max, axis=axis, t_start=t_start
         )
         records.append(rec)
-        plan = plan.concat(frag)
-        traj = traj.extend(step_traj)
+        pieces.extend(frag.pieces)
+        append_samples(samples, step_traj.samples)
         t_start = rec.t_end
-    return e, plan, traj, t_start
+    return e, t_start
 
 
 def _terminal_verdict(kernel, e):
@@ -442,11 +446,13 @@ def complete_strategy_1d(
         raise ValueError("eta must be positive")
 
     records: list[StepRecord] = []
-    plan = ControlPlan()
-    traj = integrate(kernel, e0, plan, 0.0, dt_max=0.01)
-    e, plan, traj, t_end = _run_axis_loop(
-        kernel, e0, c, 0, eta, dt_max, 0.0, step_budget, records, plan, traj
+    pieces: list[ControlPiece] = []
+    samples = integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01).samples
+    e, t_end = _run_axis_loop(
+        kernel, e0, c, 0, eta, dt_max, 0.0, step_budget, records, pieces, samples
     )
+    plan = ControlPlan(pieces=tuple(pieces))
+    traj = Trajectory(samples=samples, final=e)
 
     total_time = plan.total_control_time()
     n = math.ceil(2.0 / c)
@@ -495,15 +501,17 @@ def complete_strategy_multi_d(
         raise ValueError("eta must be positive")
 
     records: list[StepRecord] = []
-    plan = ControlPlan()
-    traj = integrate(kernel, e0, plan, 0.0, dt_max=0.01)
+    pieces: list[ControlPiece] = []
+    samples = integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01).samples
     e, t_end = e0, 0.0
     phase_end_times = []
     for axis in range(d):
-        e, plan, traj, t_end = _run_axis_loop(
-            kernel, e, c, axis, eta, dt_max, t_end, step_budget, records, plan, traj
+        e, t_end = _run_axis_loop(
+            kernel, e, c, axis, eta, dt_max, t_end, step_budget, records, pieces, samples
         )
         phase_end_times.append(t_end)
+    plan = ControlPlan(pieces=tuple(pieces))
+    traj = Trajectory(samples=samples, final=e)
 
     for axis, t_done in enumerate(phase_end_times):
         for s in traj.samples:

@@ -23,7 +23,7 @@ from .control_mass import (
     StrategyBudgetError,
     StrategyResult,
 )
-from .dynamics import ControlPiece, ControlPlan, integrate
+from .dynamics import ControlPiece, ControlPlan, Trajectory, append_samples, integrate
 from .ensemble import Ensemble, SupportBox, normalized, support_box
 from .flocking import corollary2_test
 from .kernels import Kernel
@@ -228,8 +228,8 @@ def complete_strategy_space(
         raise ValueError("eta must be positive")
 
     records: list[dict] = []
-    plan = ControlPlan()
-    traj = integrate(kernel, e0, plan, 0.0, dt_max=0.01)
+    pieces: list[ControlPiece] = []
+    samples = integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01).samples
     e, t_end = e0, 0.0
     while support_box(e).w[0] > eta:
         if len(records) >= step_budget:
@@ -240,9 +240,11 @@ def complete_strategy_space(
             kernel, e, c, dt_max=dt_max, t_start=t_end
         )
         records.append(rec)
-        plan = plan.concat(frag)
-        traj = traj.extend(step_traj)
+        pieces.extend(frag.pieces)
+        append_samples(samples, step_traj.samples)
         t_end = rec["t_end"]
+    plan = ControlPlan(pieces=tuple(pieces))
+    traj = Trajectory(samples=samples, final=e)
 
     total_time = plan.total_control_time()
     if total_time > W0 + 1e-9:

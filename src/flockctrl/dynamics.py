@@ -230,10 +230,9 @@ class Trajectory:
 
     def extend(self, other: "Trajectory") -> "Trajectory":
         """Concatenate a later trajectory, dropping its duplicated first sample."""
-        tail = other.samples
-        if tail and self.samples and tail[0].t <= self.samples[-1].t + 1e-12:
-            tail = tail[1:]
-        return Trajectory(samples=self.samples + list(tail), final=other.final)
+        samples = list(self.samples)
+        append_samples(samples, other.samples)
+        return Trajectory(samples=samples, final=other.final)
 
     def to_csv(self, path) -> None:
         d = self.final.d
@@ -261,6 +260,13 @@ class Trajectory:
                     str(s.piece_index),
                 ]
                 writer.writerow(row)
+
+
+def append_samples(samples: list, tail: list) -> None:
+    """Append a later run's samples in place, dropping a first one that repeats the last."""
+    if tail and samples and tail[0].t <= samples[-1].t + 1e-12:
+        tail = tail[1:]
+    samples.extend(tail)
 
 
 def step_rhs(kernel: Kernel, e: Ensemble, piece: ControlPiece | None, t: float):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 _WEIGHT_TOL = 1e-12
 
@@ -203,6 +202,8 @@ def wasserstein1_1d(e1: Ensemble, e2: Ensemble, coord: str = "x", axis: int = 0)
         raise ValueError("coord must be 'x' or 'v'")
     if axis >= e1.d or axis >= e2.d:
         raise ValueError("axis out of range for the ensembles")
+    from scipy.stats import wasserstein_distance
+
     a = (e1.x if coord == "x" else e1.v)[:, axis]
     b = (e2.x if coord == "x" else e2.v)[:, axis]
     return float(wasserstein_distance(a, b, u_weights=e1.w, v_weights=e2.w))

@@ -154,6 +154,15 @@ def _listify(x):
     return x if isinstance(x, list) else [x]
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; JSON's NaN and Infinity and the booleans are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_config(raw: str) -> Scenario:
     """Parse and validate a JSON scenario, applying documented defaults."""
     errors = []
@@ -174,7 +183,7 @@ def validate_config(raw: str) -> Scenario:
     if mode not in _MODES:
         errors.append(f"mode must be one of {_MODES}")
     dim = doc.get("dimension", 1)
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         errors.append("dimension must be a positive integer")
     if mode == "volume" and dim != 1:
         errors.append("volume mode is one-dimensional; set dimension = 1")
@@ -201,29 +210,30 @@ def validate_config(raw: str) -> Scenario:
             errors.append(f"unknown initial-measure keys: {sorted(bad)}")
         if initial["kind"] == "uniform_box":
             n = initial.get("particles")
-            if not isinstance(n, int) or n < 1:
+            if not _is_integer(n) or n < 1:
                 errors.append("initial.particles must be a positive integer")
 
     c = doc.get("c")
-    if mode != "none":
-        if c is None or not isinstance(c, (int, float)) or c <= 0:
-            errors.append("budget must be positive when mode is not 'none'")
+    if c is not None and not _is_number(c):
+        errors.append("c must be a finite number")
+    elif mode != "none" and (c is None or c <= 0):
+        errors.append("budget must be positive when mode is not 'none'")
     dt_max = doc.get("dt_max")
-    if dt_max is not None and (not isinstance(dt_max, (int, float)) or dt_max <= 0):
-        errors.append("dt_max must be positive")
-    for key, lo in (("horizon", 0.0), ("post_horizon", 0.0)):
+    if dt_max is not None and (not _is_number(dt_max) or dt_max <= 0):
+        errors.append("dt_max must be a positive finite number")
+    for key in ("horizon", "post_horizon"):
         val = doc.get(key)
-        if val is not None and (not isinstance(val, (int, float)) or val < lo):
-            errors.append(f"{key} must be a nonnegative number")
+        if val is not None and (not _is_number(val) or val < 0):
+            errors.append(f"{key} must be a nonnegative finite number")
     sf = doc.get("safety_factor", 0.99)
-    if not isinstance(sf, (int, float)) or not 0 < sf <= 1:
+    if not _is_number(sf) or not 0 < sf <= 1:
         errors.append("safety_factor must lie in (0, 1]")
     budget = doc.get("step_budget", 100_000)
-    if not isinstance(budget, int) or budget < 1:
+    if not _is_integer(budget) or budget < 1:
         errors.append("step_budget must be a positive integer")
     eta = doc.get("eta")
-    if eta is not None and (not isinstance(eta, (int, float)) or eta <= 0):
-        errors.append("eta must be positive")
+    if eta is not None and (not _is_number(eta) or eta <= 0):
+        errors.append("eta must be a positive finite number")
 
     if errors:
         raise ConfigError(errors)

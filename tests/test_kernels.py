@@ -151,6 +151,58 @@ class TestXiEval:
             )
 
 
+FIELD_KERNELS = {
+    "power_law_1": PowerLawKernel(1.0, 1.0),
+    "power_law_1.5": PowerLawKernel(1.3, 1.5),
+    "exponential": ExponentialKernel(1.0, 0.7),
+    "tabulated": TabulatedKernel((0.0, 0.5, 2.0), (1.5, 0.8, 0.3)),
+}
+
+
+def _weighted_cloud(n, d, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) + 0.1
+    w /= w.sum()
+    return Ensemble(x=rng.uniform(-1.0, 1.0, size=(n, d)), v=rng.normal(size=(n, d)), w=w)
+
+
+class TestInteractionFieldBlocks:
+    """The row-blocked field across block edges (blocks of 64 rows)."""
+
+    @pytest.mark.parametrize("name", sorted(FIELD_KERNELS))
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 300])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_pointwise(self, name, n, d):
+        k = FIELD_KERNELS[name]
+        e = _weighted_cloud(n, d, seed=10 * n + d)
+        f = interaction_field(k, e.x, e.v, e.w)
+        for i in range(n):
+            ref = xi_eval(k, e, e.x[i], e.v[i])
+            # size of the terms that cancel: sum_j w_j phi_ij (|v_j| + |v_i|)
+            coef = e.w * k.phi(np.linalg.norm(e.x - e.x[i], axis=1))
+            scale = coef @ (np.abs(e.v) + np.abs(e.v[i]))
+            assert np.all(np.abs(f[i] - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("name", sorted(FIELD_KERNELS))
+    @pytest.mark.parametrize("n", [65, 130, 300])
+    def test_weighted_sum_vanishes_across_blocks(self, name, n):
+        e = _weighted_cloud(n, 2, seed=n)
+        f = interaction_field(FIELD_KERNELS[name], e.x, e.v, e.w)
+        assert np.linalg.norm(e.w @ f) <= 1e-12
+
+    def test_calls_return_fresh_arrays(self):
+        e = _weighted_cloud(130, 2, seed=1)
+        k = FIELD_KERNELS["power_law_1"]
+        f1 = interaction_field(k, e.x, e.v, e.w)
+        kept = f1.copy()
+        f2 = interaction_field(k, e.x, e.v, e.w)
+        assert not np.shares_memory(f1, f2)
+        for arr in (e.x, e.v, e.w):
+            assert not np.shares_memory(f2, arr)
+        np.testing.assert_array_equal(f1, kept)
+        np.testing.assert_array_equal(f1, f2)
+
+
 class TestInwardRadii:
     def test_constant_kernel_limit(self):
         # X = 0 makes phi(2X) = phi(0): factor 1/2

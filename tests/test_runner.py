@@ -105,6 +105,28 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             validate_config("{nope")
 
+    # json.dumps writes float("nan") and float("inf") as NaN and Infinity,
+    # which json.loads accepts
+    def test_nan_eta_rejected(self):
+        with pytest.raises(ConfigError, match="eta must be a positive finite"):
+            _scenario(dict(MASS_SMALL, eta=float("nan")))
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ConfigError, match="c must be a finite number"):
+            _scenario(dict(MASS_SMALL, c=float("nan")))
+
+    def test_nan_dt_max_rejected(self):
+        with pytest.raises(ConfigError, match="dt_max must be a positive finite"):
+            _scenario(dict(MINIMAL, dt_max=float("nan")))
+
+    def test_infinite_post_horizon_rejected(self):
+        with pytest.raises(ConfigError, match="post_horizon must be a nonnegative finite"):
+            _scenario(dict(MASS_SMALL, post_horizon=float("inf")))
+
+    def test_boolean_dimension_rejected(self):
+        with pytest.raises(ConfigError, match="dimension must be a positive integer"):
+            _scenario(dict(MINIMAL, dimension=True))
+
 
 class TestRunScenario:
     def test_mode_none_in_region(self, tmp_path):
@@ -216,6 +238,11 @@ class TestCli:
         cfg = self._write_config(tmp_path, dict(MINIMAL, mode="mass"))  # no c
         assert cli_main(["--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_two_on_nan_eta(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, dict(MASS_SMALL, eta=float("nan")))
+        assert cli_main(["--config", cfg]) == 2
+        assert "eta must be a positive finite number" in capsys.readouterr().err
 
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "absent.json")]) == 2
