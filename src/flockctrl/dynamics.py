@@ -42,6 +42,12 @@ class IntegrationError(RuntimeError):
         self.v = v
 
 
+def _clip_unit(a: np.ndarray) -> np.ndarray:
+    """np.clip(a, 0, 1) in place on a fresh array, without np.clip's dispatch cost."""
+    np.maximum(a, 0.0, out=a)
+    return np.minimum(a, 1.0, out=a)
+
+
 @dataclass(frozen=True)
 class ControlPiece:
     """One time slice of the control schedule.
@@ -86,19 +92,18 @@ class ControlPiece:
         if self.kind == "mass_band":
             eps, beta = p["eps"], p["beta"]
             s = vs - p["vbar"]
+            abs_s = np.abs(s)
             band_inner = p["alpha"] + beta
             band_outer = p["alpha"] + 4.0 * beta
             psi_x = np.minimum((xs - p["x_lo"]) / eps, (p["x_hi"] - xs) / eps)
-            psi_v = np.minimum(np.abs(s) - band_inner, band_outer - np.abs(s)) / beta
-            psi = np.clip(np.minimum(psi_x, psi_v), 0.0, 1.0)
+            psi_v = np.minimum(abs_s - band_inner, band_outer - abs_s) / beta
+            psi = _clip_unit(np.minimum(psi_x, psi_v))
             return -psi * np.sign(s)
         # space_band
         eps, y0, w0 = p["eps"], p["y0"], p["w0"]
         x_hi = y0 + eps * w0 + eps
-        psi = np.clip(np.minimum((xs + eps) / eps, (x_hi - xs) / eps), 0.0, 1.0)
-        zeta = -np.clip(
-            np.minimum(vs - (w0 - 2.0 * eps), (w0 + 2.0 * eps) - vs) / eps, 0.0, 1.0
-        )
+        psi = _clip_unit(np.minimum((xs + eps) / eps, (x_hi - xs) / eps))
+        zeta = -_clip_unit(np.minimum(vs - (w0 - 2.0 * eps), (w0 + 2.0 * eps) - vs) / eps)
         return psi * zeta
 
     def force(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -278,30 +283,29 @@ def step_rhs(kernel: Kernel, e: Ensemble, piece: ControlPiece | None, t: float):
     """
     dv = interaction_field(kernel, e.x, e.v, e.w)
     if piece is not None:
-        dv = dv + piece.force(e.x, e.v, t)
+        dv += piece.force(e.x, e.v, t)
     return e.v.copy(), dv
 
 
-def _rk4_segment(kernel, x, v, w, piece, t0, t1, nsteps):
-    """Advance (x, v) from t0 to t1 in nsteps equal RK4 steps."""
-    dt = (t1 - t0) / nsteps
-    for k in range(nsteps):
-        t = t0 + k * dt
+def _rk4_segment(kernel, x, v, w, piece, t0, t1):
+    """Advance (x, v) from t0 to t1 in one RK4 step."""
+    dt = t1 - t0
 
-        def rhs(tt, xx, vv):
-            dv = interaction_field(kernel, xx, vv, w)
-            if piece is not None:
-                dv = dv + piece.force(xx, vv, tt)
-            return vv, dv
+    def rhs(t, xx, vv):
+        # the field returns a fresh array, so the force goes in in place
+        dv = interaction_field(kernel, xx, vv, w)
+        if piece is not None:
+            dv += piece.force(xx, vv, t)
+        return vv, dv
 
-        k1x, k1v = rhs(t, x, v)
-        k2x, k2v = rhs(t + 0.5 * dt, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = rhs(t + 0.5 * dt, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = rhs(t + dt, x + dt * k3x, v + dt * k3v)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise IntegrationError("state became non-finite", t=t + dt, x=x, v=v)
+    k1x, k1v = rhs(t0, x, v)
+    k2x, k2v = rhs(t0 + 0.5 * dt, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
+    k3x, k3v = rhs(t0 + 0.5 * dt, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
+    k4x, k4v = rhs(t0 + dt, x + dt * k3x, v + dt * k3v)
+    x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        raise IntegrationError("state became non-finite", t=t0 + dt, x=x, v=v)
     return x, v
 
 
@@ -390,7 +394,7 @@ def integrate(
         dt = (seg_end - seg_start) / nsteps
         for k in range(nsteps):
             x, v = _rk4_segment(
-                kernel, x, v, w, piece, seg_start + k * dt, seg_start + (k + 1) * dt, 1
+                kernel, x, v, w, piece, seg_start + k * dt, seg_start + (k + 1) * dt
             )
             t_now = seg_end if k == nsteps - 1 else seg_start + (k + 1) * dt
             if k == nsteps - 1 or (k + 1) % sample_stride == 0:

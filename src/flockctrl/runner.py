@@ -77,7 +77,7 @@ class ConfigError(ValueError):
 
 
 class StrategyFailure(RuntimeError):
-    """A strategy raised after validation; partial artifacts may exist."""
+    """A strategy raised after validation; no artifacts are written."""
 
 
 @dataclass
@@ -99,23 +99,27 @@ class Scenario:
         return kernel_from_dict(self.kernel)
 
     def build_ensemble(self) -> Ensemble:
-        spec = self.initial
-        kind = spec["kind"]
-        if kind == "uniform_box":
-            return uniform_box_ensemble(
-                n=int(spec["particles"]),
-                x_low=spec["x_low"],
-                x_high=spec["x_high"],
-                v_low=spec["v_low"],
-                v_high=spec["v_high"],
-                seed=int(spec.get("seed", 0)),
-            )
-        if kind == "grid":
-            return grid_ensemble(
-                spec["x_low"], spec["x_high"], spec["v_low"], spec["v_high"],
-                spec["counts_x"], spec["counts_v"],
-            )
-        return Ensemble.from_points(spec["x"], spec["v"], spec.get("w"))
+        return _build_initial(self.initial)
+
+
+def _build_initial(spec: dict) -> Ensemble:
+    """The initial measure an ``initial`` block describes."""
+    kind = spec["kind"]
+    if kind == "uniform_box":
+        return uniform_box_ensemble(
+            n=int(spec["particles"]),
+            x_low=spec["x_low"],
+            x_high=spec["x_high"],
+            v_low=spec["v_low"],
+            v_high=spec["v_high"],
+            seed=int(spec.get("seed", 0)),
+        )
+    if kind == "grid":
+        return grid_ensemble(
+            spec["x_low"], spec["x_high"], spec["v_low"], spec["v_high"],
+            spec["counts_x"], spec["counts_v"],
+        )
+    return Ensemble.from_points(spec["x"], spec["v"], spec.get("w"))
 
 
 @dataclass
@@ -194,7 +198,7 @@ def validate_config(raw: str) -> Scenario:
     else:
         try:
             kernel_from_dict(kernel)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"bad kernel spec: {exc}")
 
     initial = doc.get("initial")
@@ -208,10 +212,18 @@ def validate_config(raw: str) -> Scenario:
         bad = set(initial) - allowed
         if bad:
             errors.append(f"unknown initial-measure keys: {sorted(bad)}")
-        if initial["kind"] == "uniform_box":
-            n = initial.get("particles")
-            if not _is_integer(n) or n < 1:
-                errors.append("initial.particles must be a positive integer")
+        n = initial.get("particles")
+        if initial["kind"] == "uniform_box" and (not _is_integer(n) or n < 1):
+            errors.append("initial.particles must be a positive integer")
+        else:
+            # built here once, so that its own complaints are config errors
+            try:
+                e = _build_initial(initial)
+            except (KeyError, TypeError, ValueError) as exc:
+                errors.append(f"bad initial measure: {exc}")
+            else:
+                if not (np.all(np.isfinite(e.x)) and np.all(np.isfinite(e.v))):
+                    errors.append("initial positions and velocities must be finite")
 
     c = doc.get("c")
     if c is not None and not _is_number(c):
@@ -281,7 +293,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
 
     Returns (RunSummary, Trajectory, ControlPlan).  Raises ConfigError for
     invalid late-bound settings and StrategyFailure when a synthesis loop
-    fails; in the latter case whatever artifacts exist are flushed first.
+    fails.  The artifacts are written only after a run completes, so a
+    failed run leaves none, not even the output directory.
     """
     t_wall = time.perf_counter()
     out = out_dir or s.out

@@ -200,6 +200,14 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(PowerLawKernel(), e, ControlPlan(), 400.0, dt_max=1.0)
 
+    def test_nan_position_raises(self):
+        # the exponential field on the line sorts positions; a NaN sorts last
+        from flockctrl import ExponentialKernel, IntegrationError
+
+        e = Ensemble.from_points([0.0, math.nan, 1.0], [0.0, 0.5, 1.0])
+        with pytest.raises(IntegrationError):
+            integrate(ExponentialKernel(), e, ControlPlan(), 0.1, dt_max=0.05)
+
     def test_boundary_alignment_samples(self):
         e = uniform_box_ensemble(10, 0.0, 1.0, 0.0, 1.0, seed=1)
         plan = ControlPlan(pieces=(_mass_piece(0.0, 0.37), _mass_piece(0.37, 0.61)))

@@ -21,6 +21,7 @@ from flockctrl import (
     uniform_box_ensemble,
     xi_eval,
 )
+from flockctrl.kernels import _EXP_SEGMENT
 
 
 class TestPhiEval:
@@ -104,6 +105,19 @@ class TestKernelFromDict:
         with pytest.raises(ValueError):
             kernel_from_dict({"family": "gaussian"})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_parameters_rejected(self, bad):
+        for make in (
+            lambda: PowerLawKernel(bad, 1.0),
+            lambda: PowerLawKernel(1.0, bad),
+            lambda: ExponentialKernel(bad, 1.0),
+            lambda: ExponentialKernel(1.0, bad),
+            lambda: TabulatedKernel((0.0, bad), (1.0, 0.5)),
+            lambda: TabulatedKernel((0.0, 1.0), (bad, 0.5)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
             TabulatedKernel((0.0, 1.0), (0.5, 1.0))  # increasing
@@ -170,7 +184,7 @@ class TestInteractionFieldBlocks:
     """The row-blocked field across block edges (blocks of 64 rows)."""
 
     @pytest.mark.parametrize("name", sorted(FIELD_KERNELS))
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 300])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 300, 2000])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_pointwise(self, name, n, d):
         k = FIELD_KERNELS[name]
@@ -201,6 +215,62 @@ class TestInteractionFieldBlocks:
             assert not np.shares_memory(f2, arr)
         np.testing.assert_array_equal(f1, kept)
         np.testing.assert_array_equal(f1, f2)
+
+
+def _dense_field_1d(k, x, v, w):
+    """The field on the line from the N x N kernel matrix, and the size of the
+    terms that cancel in it, sum_j w_j phi_ij (|v_j| + |v_i|), per row."""
+    coef = w * k.phi(np.abs(x - x.T))
+    row = coef.sum(axis=1, keepdims=True)
+    return coef @ v - row * v, coef @ np.abs(v) + row * np.abs(v)
+
+
+def _line_cloud(n, span, seed, tied=False):
+    """Unsorted positions on [0, span), non-uniform weights, velocities offset by 5."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, span, n)
+    if tied:
+        # every position four times over, in scrambled order
+        x = rng.permutation(np.repeat(x[: n // 4], 4))
+    w = rng.random(n) + 0.1
+    w /= w.sum()
+    return x[:, None], 5.0 + rng.normal(size=(n, 1)), w
+
+
+class TestExponentialField1d:
+    """The sorted prefix-sum field of the exponential kernel on the line."""
+
+    # N = 1, 2 and 2000 without a velocity offset are in test_matches_pointwise
+    @pytest.mark.parametrize(
+        "n, lam, span, tied",
+        [
+            (400, 3.0, 1.0, True),
+            (2000, 1.0, 1.0, False),
+            # lam * span = 1200: at least three segments
+            (2000, 2.5, 480.0, False),
+        ],
+    )
+    def test_matches_dense(self, n, lam, span, tied):
+        k = ExponentialKernel(1.3, lam)
+        x, v, w = _line_cloud(n, span, seed=n, tied=tied)
+        if span > 1.0:
+            assert lam * np.ptp(x) > 2 * _EXP_SEGMENT
+        f = interaction_field(k, x, v, w)
+        ref, scale = _dense_field_1d(k, x, v, w)
+        assert f.shape == (n, 1)
+        assert np.all(np.abs(f - ref) <= 1e-13 * scale)
+
+    def test_large_cloud(self):
+        k = ExponentialKernel(1.0, 1.0)
+        x, v, w = _line_cloud(100_000, 50.0, seed=7)
+        e = Ensemble(x=x, v=v, w=w)
+        f = interaction_field(k, x, v, w)
+        for i in np.random.default_rng(0).choice(e.n, size=50, replace=False):
+            ref = xi_eval(k, e, x[i], v[i])
+            coef = w * k.phi(np.abs(x[:, 0] - x[i, 0]))
+            scale = coef @ (np.abs(v) + np.abs(v[i]))
+            assert np.all(np.abs(f[i] - ref) <= 1e-13 * scale)
+        assert np.linalg.norm(w @ f) <= 1e-12
 
 
 class TestInwardRadii:

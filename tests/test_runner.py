@@ -244,6 +244,30 @@ class TestCli:
         assert cli_main(["--config", cfg]) == 2
         assert "eta must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kernel, initial",
+        [
+            ({"family": "exponential", "K": float("nan"), "lam": 1.0}, None),
+            ({"family": "exponential", "K": 1.0, "lam": float("nan")}, None),
+            (None, {"kind": "explicit", "x": [[0.0], [1.0]], "v": [[0.0], [1.0]],
+                    "w": [0.3, 0.3]}),
+            (None, {"kind": "grid", "x_low": 0.0, "x_high": 1.0, "v_low": 0.0,
+                    "v_high": 1.0, "counts_x": 0, "counts_v": 2}),
+        ],
+        ids=["nan_K", "nan_lam", "weights_off_one", "zero_grid_count"],
+    )
+    def test_exit_two_on_bad_nested_values(self, tmp_path, capsys, kernel, initial):
+        doc = dict(MINIMAL)
+        if kernel is not None:
+            doc["kernel"] = kernel
+        if initial is not None:
+            doc["initial"] = initial
+        cfg = self._write_config(tmp_path, doc)
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "absent.json")]) == 2
 
