@@ -16,13 +16,9 @@ from .control_mass import (
     StrategyResult,
     axis_step_params,
     build_control_piece,
-    build_control_piece_1d,
     complete_strategy_1d,
     complete_strategy_multi_d,
     fundamental_step,
-    fundamental_step_1d,
-    multi_d_params,
-    step_params_1d,
     theorem4_threshold,
     theorem5_threshold,
 )
@@ -30,7 +26,6 @@ from .control_space import (
     SpaceStepParams,
     complete_strategy_space,
     fundamental_step_space,
-    space_force,
     space_step_params,
     theorem6_threshold,
 )
@@ -73,8 +68,6 @@ from .kernels import (
     interaction_field,
     inward_radii,
     kernel_from_dict,
-    phi_eval,
-    tail_integral,
     xi_eval,
 )
 from .runner import (

@@ -1,17 +1,18 @@
 """Command-line entry point.
 
 Runs one scenario per invocation.  Flag values override the corresponding
-config fields; exit status is 0 on success, 2 on validation errors, 3 when a
-synthesis loop fails.
+config fields; exit status is 0 on success, 2 on validation errors (of the
+scenario or of a replayed plan), 3 when a synthesis loop or an integration
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .control_mass import ContractionError, DegenerateMeasureError, StrategyBudgetError
 from .runner import ConfigError, StrategyFailure, replay_plan, run_scenario, validate_config
 
 
@@ -55,34 +56,24 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError([f"cannot read {what} {path}: {exc}"]) from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(doc, dict):
-        print("config error: top-level config must be an object", file=sys.stderr)
-        return 2
-    doc = _apply_overrides(doc, args)
-
-    try:
-        scenario = validate_config(json.dumps(doc))
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
+        doc = _read_json(args.config, "config")
+        if not isinstance(doc, dict):
+            raise ConfigError(["top-level config must be an object"])
+        scenario = validate_config(json.dumps(_apply_overrides(doc, args)))
         if args.replay is not None:
-            with open(args.replay) as fh:
-                plan_doc = json.load(fh)
-            traj = replay_plan(plan_doc, scenario)
+            traj = replay_plan(_read_json(args.replay, "plan"), scenario)
             if scenario.out is not None:
-                import os
-
                 os.makedirs(scenario.out, exist_ok=True)
                 traj.to_csv(os.path.join(scenario.out, "trajectory.csv"))
             return 0
@@ -91,7 +82,7 @@ def main(argv=None) -> int:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (StrategyFailure, StrategyBudgetError, ContractionError, DegenerateMeasureError) as exc:
+    except StrategyFailure as exc:
         print(f"strategy failure: {exc}", file=sys.stderr)
         return 3
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))

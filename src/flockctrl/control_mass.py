@@ -9,13 +9,14 @@ with a unit-bounded force pushing band velocities toward the barycenter.
 The complete strategy iterates steps until the velocity extent falls below
 a threshold eta that certifies membership in the flocking region; the
 multi-axis strategy runs the loop per coordinate in order, and previously
-completed axes provably stay small.
+completed axes provably stay small.  That loop, ``_synthesize``, also runs
+the volume-budget strategy of ``control_space``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .ensemble import (
     normalized,
     support_box,
 )
-from .flocking import FlockingVerdict, corollary2_test
+from .flocking import FlockingVerdict, covering_box_test
 from .kernels import Kernel
 
 _MASS_TOL = 1e-12
@@ -74,55 +75,28 @@ class StepParams:
     T0: float
     atom_flagged: bool  # some column overshot c/2 by more than one max weight
 
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "c": self.c,
-            "Y0": self.Y0,
-            "W0": self.W0,
-            "diam": self.diam,
-            "vbar0": self.vbar0,
-            "alpha0": self.alpha0,
-            "beta0": self.beta0,
-            "n": self.n,
-            "cuts": [float(x) for x in self.cuts],
-            "slice_masses": [float(m) for m in self.slice_masses],
-            "eps0": self.eps0,
-            "T0": self.T0,
-            "atom_flagged": self.atom_flagged,
-        }
-
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Audit of one executed fundamental step."""
+    """Audit of one executed fundamental step, of either budget.
 
-    params: StepParams
+    A mass-budget step fills the fields up to ``div_v_bound``; a volume-budget
+    step has ``SpaceStepParams``, ``omega_area`` and 1-element boxes, and
+    leaves the mass-only fields None.
+    """
+
+    params: StepParams  # or control_space.SpaceStepParams
     t_start: float
     t_end: float
     W_before: np.ndarray
     W_after: np.ndarray
     Y_before: np.ndarray
     Y_after: np.ndarray
-    max_mass_in_omega: float
     max_u_sup: float
-    max_vbar_drift: float
-    div_v_bound: float  # analytic sup of |d u / d v| + 1 for the built ramp
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "W_before": [float(x) for x in self.W_before],
-            "W_after": [float(x) for x in self.W_after],
-            "Y_before": [float(x) for x in self.Y_before],
-            "Y_after": [float(x) for x in self.Y_after],
-            "max_mass_in_omega": self.max_mass_in_omega,
-            "max_u_sup": self.max_u_sup,
-            "max_vbar_drift": self.max_vbar_drift,
-            "div_v_bound": self.div_v_bound,
-        }
+    max_mass_in_omega: float | None = None
+    max_vbar_drift: float | None = None
+    div_v_bound: float | None = None  # analytic sup of |d u / d v| + 1 for the built ramp
+    omega_area: float | None = None  # volume budget: band area, at most c
 
 
 @dataclass
@@ -245,13 +219,6 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
     )
 
 
-def step_params_1d(kernel: Kernel, e: Ensemble, c: float) -> StepParams:
-    """One-dimensional step geometry (axis 0)."""
-    if e.d != 1:
-        raise ValueError("step_params_1d requires a one-dimensional ensemble")
-    return axis_step_params(kernel, e, 0, c)
-
-
 def build_control_piece(
     params: StepParams, i: int, t_start: float, box: SupportBox, dt: float | None = None
 ) -> ControlPiece:
@@ -282,18 +249,6 @@ def build_control_piece(
         },
         dt=dt,
     )
-
-
-def build_control_piece_1d(params: StepParams, i: int, t_start: float) -> ControlPiece:
-    """1D convenience wrapper with an identity frame."""
-    box = SupportBox(
-        y=np.array([params.Y0]),
-        a=np.zeros(1),
-        w=np.array([params.W0]),
-        x_shift=np.zeros(1),
-        v_shift=np.zeros(1),
-    )
-    return build_control_piece(params, i, t_start, box)
 
 
 def fundamental_step(
@@ -365,13 +320,6 @@ def fundamental_step(
     return traj.final, record, frag, traj
 
 
-def fundamental_step_1d(kernel: Kernel, e: Ensemble, c: float, dt_max: float | None = None):
-    """One-dimensional fundamental step starting at time 0."""
-    if e.d != 1:
-        raise ValueError("fundamental_step_1d requires a one-dimensional ensemble")
-    return fundamental_step(kernel, e, c, dt_max=dt_max, axis=0, t_start=0.0)
-
-
 def theorem4_threshold(kernel: Kernel, Y0: float, W0: float, c: float) -> float:
     """Velocity-extent threshold certifying the flocking region after the 1D loop."""
     n = math.ceil(2.0 / c)
@@ -390,34 +338,57 @@ def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float)
     return eta, w_star, w_tilde
 
 
-def _run_axis_loop(
-    kernel, e, c, axis, eta, dt_max, t_start, step_budget, records, pieces, samples
-):
-    """Iterate fundamental steps on one axis until its W drops to eta.
+def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bound=math.inf):
+    """Run ``step(e, axis, t_start)`` on each axis in turn until its W drops to eta.
 
-    Appends each step's record, plan pieces and trajectory samples to the
-    running lists, so the loop stays linear in the number of steps.
+    Pieces and samples go on running lists, so the loop is linear in the
+    steps.  Then it audits the guarantees: no finished axis regrows above eta,
+    total control time <= time_bound, spatial extent on axis 0 <= spread_bound.
     """
-    while support_box(e).w[axis] > eta:
-        if len(records) >= step_budget:
-            raise StrategyBudgetError(
-                f"exceeded {step_budget} fundamental steps before W <= eta",
-                records=records,
-            )
-        e, rec, frag, step_traj = fundamental_step(
-            kernel, e, c, dt_max=dt_max, axis=axis, t_start=t_start
-        )
-        records.append(rec)
-        pieces.extend(frag.pieces)
-        append_samples(samples, step_traj.samples)
-        t_start = rec.t_end
-    return e, t_start
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    records: list[StepRecord] = []
+    pieces: list[ControlPiece] = []
+    samples = integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01).samples
+    e, t_end = e0, 0.0
+    phase_end_times = []
+    for axis in axes:
+        while support_box(e).w[axis] > eta:
+            if len(records) >= step_budget:
+                raise StrategyBudgetError(
+                    f"exceeded {step_budget} fundamental steps before W <= eta",
+                    records=records,
+                )
+            e, rec, frag, step_traj = step(e, axis, t_end)
+            records.append(rec)
+            pieces.extend(frag.pieces)
+            append_samples(samples, step_traj.samples)
+            t_end = rec.t_end
+        phase_end_times.append(t_end)
+    plan = ControlPlan(pieces=tuple(pieces))
+    traj = Trajectory(samples=samples, final=e)
 
+    for axis, t_done in zip(axes, phase_end_times):
+        for s in traj.samples:
+            if s.t >= t_done - 1e-12 and s.box.w[axis] > eta + _BOX_SLACK:
+                raise ContractionError(
+                    f"axis {axis} velocity extent regrew above eta after its phase"
+                )
+    total_time = plan.total_control_time()
+    if total_time > time_bound + 1e-9:
+        raise ContractionError("total control time exceeded the guaranteed bound")
+    if support_box(e).y[0] > spread_bound + _BOX_SLACK:
+        raise ContractionError("spatial spread exceeded the guaranteed bound")
 
-def _terminal_verdict(kernel, e):
-    box = support_box(e)
-    return corollary2_test(
-        kernel, 0.5 * float(np.linalg.norm(box.y)), 0.5 * float(np.linalg.norm(box.w))
+    return StrategyResult(
+        plan=plan,
+        trajectory=traj,
+        records=records,
+        eta=eta,
+        final=e,
+        total_control_time=total_time,
+        terminal_verdict=covering_box_test(kernel, support_box(e))[0],
+        phase_axes=tuple(axes),
     )
 
 
@@ -442,40 +413,12 @@ def complete_strategy_1d(
     Y0, W0 = float(box0.y[0]), float(box0.w[0])
     if eta is None:
         eta = theorem4_threshold(kernel, Y0, W0, c)
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-
-    records: list[StepRecord] = []
-    pieces: list[ControlPiece] = []
-    samples = integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01).samples
-    e, t_end = _run_axis_loop(
-        kernel, e0, c, 0, eta, dt_max, 0.0, step_budget, records, pieces, samples
-    )
-    plan = ControlPlan(pieces=tuple(pieces))
-    traj = Trajectory(samples=samples, final=e)
-
-    total_time = plan.total_control_time()
     n = math.ceil(2.0 / c)
-    if total_time > W0 * n + 1e-9:
-        raise ContractionError("total control time exceeded the guaranteed bound")
-    if support_box(e).y[0] > Y0 + n * W0 * W0 + _BOX_SLACK:
-        raise ContractionError("spatial spread exceeded the guaranteed bound")
-
-    return StrategyResult(
-        plan=plan,
-        trajectory=traj,
-        records=records,
-        eta=eta,
-        final=e,
-        total_control_time=total_time,
-        terminal_verdict=_terminal_verdict(kernel, e),
-        phase_axes=(0,),
+    return _synthesize(
+        kernel, e0,
+        lambda e, axis, t: fundamental_step(kernel, e, c, dt_max=dt_max, axis=axis, t_start=t),
+        (0,), eta, step_budget, time_bound=W0 * n, spread_bound=Y0 + n * W0 * W0,
     )
-
-
-def multi_d_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepParams:
-    """Step geometry on one coordinate of a normalized d-dimensional ensemble."""
-    return axis_step_params(kernel, e, axis, c)
 
 
 def complete_strategy_multi_d(
@@ -493,42 +436,11 @@ def complete_strategy_multi_d(
     recorded samples.  Total control time is bounded by ceil(2/c) * sum_j W_j0.
     """
     box0 = support_box(e0)
-    d = e0.d
     eta5, w_star, _ = theorem5_threshold(kernel, box0.y, box0.w, c)
     if eta is None:
         eta = eta5
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-
-    records: list[StepRecord] = []
-    pieces: list[ControlPiece] = []
-    samples = integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01).samples
-    e, t_end = e0, 0.0
-    phase_end_times = []
-    for axis in range(d):
-        e, t_end = _run_axis_loop(
-            kernel, e, c, axis, eta, dt_max, t_end, step_budget, records, pieces, samples
-        )
-        phase_end_times.append(t_end)
-    plan = ControlPlan(pieces=tuple(pieces))
-    traj = Trajectory(samples=samples, final=e)
-
-    for axis, t_done in enumerate(phase_end_times):
-        for s in traj.samples:
-            if s.t >= t_done - 1e-12 and s.box.w[axis] > eta + _BOX_SLACK:
-                raise ContractionError(
-                    f"axis {axis} velocity extent regrew above eta after its phase"
-                )
-    if plan.total_control_time() > w_star + 1e-9:
-        raise ContractionError("total control time exceeded the guaranteed bound")
-
-    return StrategyResult(
-        plan=plan,
-        trajectory=traj,
-        records=records,
-        eta=eta,
-        final=e,
-        total_control_time=plan.total_control_time(),
-        terminal_verdict=_terminal_verdict(kernel, e),
-        phase_axes=tuple(range(d)),
+    return _synthesize(
+        kernel, e0,
+        lambda e, axis, t: fundamental_step(kernel, e, c, dt_max=dt_max, axis=axis, t_start=t),
+        tuple(range(e0.d)), eta, step_budget, time_bound=w_star,
     )

@@ -48,16 +48,76 @@ def _clip_unit(a: np.ndarray) -> np.ndarray:
     return np.minimum(a, 1.0, out=a)
 
 
+class MassBand:
+    """Mass budget: x in [x_lo, x_hi], alpha + beta <= |v - vbar| <= alpha + 4 beta.
+
+    The force -psi(x, v) sign(v - vbar) ramps psi to 1 over eps in x and beta in v.
+    """
+
+    params = ("x_lo", "x_hi", "vbar", "alpha", "beta", "eps")
+
+    @staticmethod
+    def force(p, xs, vs):
+        eps, beta = p["eps"], p["beta"]
+        s = vs - p["vbar"]
+        abs_s = np.abs(s)
+        band_inner = p["alpha"] + beta
+        band_outer = p["alpha"] + 4.0 * beta
+        psi_x = np.minimum((xs - p["x_lo"]) / eps, (p["x_hi"] - xs) / eps)
+        psi_v = np.minimum(abs_s - band_inner, band_outer - abs_s) / beta
+        psi = _clip_unit(np.minimum(psi_x, psi_v))
+        return -psi * np.sign(s)
+
+    @staticmethod
+    def member(p, xs, vs):
+        s = np.abs(vs - p["vbar"])
+        in_x = (xs >= p["x_lo"]) & (xs <= p["x_hi"])
+        in_v = (s >= p["alpha"] + p["beta"]) & (s <= p["alpha"] + 4.0 * p["beta"])
+        return in_x & in_v
+
+    @staticmethod
+    def area(p):
+        return (p["x_hi"] - p["x_lo"]) * 6.0 * p["beta"]
+
+
+class SpaceBand:
+    """Volume budget: [-eps, y0 + eps w0 + eps] x [w0 - 2 eps, w0 + 2 eps].
+
+    The force psi(x) zeta(v) has eps-wide ramps; zeta is -1 on [w0 - eps, w0 + eps].
+    """
+
+    params = ("eps", "y0", "w0")
+
+    @staticmethod
+    def force(p, xs, vs):
+        eps, y0, w0 = p["eps"], p["y0"], p["w0"]
+        x_hi = y0 + eps * w0 + eps
+        psi = _clip_unit(np.minimum((xs + eps) / eps, (x_hi - xs) / eps))
+        zeta = -_clip_unit(np.minimum(vs - (w0 - 2.0 * eps), (w0 + 2.0 * eps) - vs) / eps)
+        return psi * zeta
+
+    @staticmethod
+    def member(p, xs, vs):
+        eps, y0, w0 = p["eps"], p["y0"], p["w0"]
+        in_x = (xs >= -eps) & (xs <= y0 + eps * w0 + eps)
+        in_v = (vs >= w0 - 2.0 * eps) & (vs <= w0 + 2.0 * eps)
+        return in_x & in_v
+
+    @staticmethod
+    def area(p):
+        eps = p["eps"]
+        return (p["y0"] + eps * p["w0"] + 2.0 * eps) * 4.0 * eps
+
+
+BANDS = {"mass_band": MassBand, "space_band": SpaceBand}
+
+
 @dataclass(frozen=True)
 class ControlPiece:
     """One time slice of the control schedule.
 
-    ``kind`` selects the force construction:
-
-    * ``"mass_band"`` -- two velocity bands over a widened spatial column,
-      force -psi(x,v) * sign(v_j - vbar_j), used by the mass-budget strategy.
-    * ``"space_band"`` -- single upper band psi(x)*zeta(v), used by the
-      volume-budget strategy.
+    ``kind`` names the control set and force law in ``BANDS``: ``"mass_band"``
+    (:class:`MassBand`) or ``"space_band"`` (:class:`SpaceBand`).
 
     Geometry parameters are stored in the normalized frame of the step that
     built the piece: subtract (x_shift + (t - t_ref) * v_shift) from the
@@ -77,8 +137,10 @@ class ControlPiece:
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise ValueError("piece must have positive duration")
-        if self.kind not in ("mass_band", "space_band"):
+        if self.kind not in BANDS:
             raise ValueError(f"unknown control piece kind: {self.kind!r}")
+        # resolved once here, so the per-call methods pay no lookup by kind
+        object.__setattr__(self, "_band", BANDS[self.kind])
 
     def _frame_coords(self, x: np.ndarray, v: np.ndarray, t: float):
         xs = x[:, self.axis] - self.x_shift - (t - self.t_ref) * self.v_shift
@@ -88,23 +150,7 @@ class ControlPiece:
     def force_axis(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         """Force on the controlled velocity component, per particle."""
         xs, vs = self._frame_coords(x, v, t)
-        p = self.params
-        if self.kind == "mass_band":
-            eps, beta = p["eps"], p["beta"]
-            s = vs - p["vbar"]
-            abs_s = np.abs(s)
-            band_inner = p["alpha"] + beta
-            band_outer = p["alpha"] + 4.0 * beta
-            psi_x = np.minimum((xs - p["x_lo"]) / eps, (p["x_hi"] - xs) / eps)
-            psi_v = np.minimum(abs_s - band_inner, band_outer - abs_s) / beta
-            psi = _clip_unit(np.minimum(psi_x, psi_v))
-            return -psi * np.sign(s)
-        # space_band
-        eps, y0, w0 = p["eps"], p["y0"], p["w0"]
-        x_hi = y0 + eps * w0 + eps
-        psi = _clip_unit(np.minimum((xs + eps) / eps, (x_hi - xs) / eps))
-        zeta = -_clip_unit(np.minimum(vs - (w0 - 2.0 * eps), (w0 + 2.0 * eps) - vs) / eps)
-        return psi * zeta
+        return self._band.force(self.params, xs, vs)
 
     def force(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         out = np.zeros_like(v)
@@ -114,24 +160,11 @@ class ControlPiece:
     def in_omega(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         """Closed-box membership of each particle in the control set."""
         xs, vs = self._frame_coords(x, v, t)
-        p = self.params
-        if self.kind == "mass_band":
-            s = np.abs(vs - p["vbar"])
-            in_x = (xs >= p["x_lo"]) & (xs <= p["x_hi"])
-            in_v = (s >= p["alpha"] + p["beta"]) & (s <= p["alpha"] + 4.0 * p["beta"])
-            return in_x & in_v
-        eps, y0, w0 = p["eps"], p["y0"], p["w0"]
-        in_x = (xs >= -eps) & (xs <= y0 + eps * w0 + eps)
-        in_v = (vs >= w0 - 2.0 * eps) & (vs <= w0 + 2.0 * eps)
-        return in_x & in_v
+        return self._band.member(self.params, xs, vs)
 
     def omega_volume(self) -> float:
         """Lebesgue area of the control set in the (x_axis, v_axis) plane."""
-        p = self.params
-        if self.kind == "mass_band":
-            return (p["x_hi"] - p["x_lo"]) * 6.0 * p["beta"]
-        eps = p["eps"]
-        return (p["y0"] + eps * p["w0"] + 2.0 * eps) * 4.0 * eps
+        return self._band.area(self.params)
 
     def to_dict(self) -> dict:
         return {
@@ -274,6 +307,15 @@ def append_samples(samples: list, tail: list) -> None:
     samples.extend(tail)
 
 
+def _rhs(kernel, x, v, w, piece, t):
+    """(dx, dv) of the controlled characteristics; dx is v itself, not a copy."""
+    # the field returns a fresh array, so the force goes in in place
+    dv = interaction_field(kernel, x, v, w)
+    if piece is not None:
+        dv += piece.force(x, v, t)
+    return v, dv
+
+
 def step_rhs(kernel: Kernel, e: Ensemble, piece: ControlPiece | None, t: float):
     """Right-hand side of the controlled characteristics at time t.
 
@@ -281,27 +323,17 @@ def step_rhs(kernel: Kernel, e: Ensemble, piece: ControlPiece | None, t: float):
     and vanishes on the complement of the control set, so no explicit
     indicator multiplication is needed.
     """
-    dv = interaction_field(kernel, e.x, e.v, e.w)
-    if piece is not None:
-        dv += piece.force(e.x, e.v, t)
-    return e.v.copy(), dv
+    dx, dv = _rhs(kernel, e.x, e.v, e.w, piece, t)
+    return dx.copy(), dv
 
 
 def _rk4_segment(kernel, x, v, w, piece, t0, t1):
     """Advance (x, v) from t0 to t1 in one RK4 step."""
     dt = t1 - t0
-
-    def rhs(t, xx, vv):
-        # the field returns a fresh array, so the force goes in in place
-        dv = interaction_field(kernel, xx, vv, w)
-        if piece is not None:
-            dv += piece.force(xx, vv, t)
-        return vv, dv
-
-    k1x, k1v = rhs(t0, x, v)
-    k2x, k2v = rhs(t0 + 0.5 * dt, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-    k3x, k3v = rhs(t0 + 0.5 * dt, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-    k4x, k4v = rhs(t0 + dt, x + dt * k3x, v + dt * k3v)
+    k1x, k1v = _rhs(kernel, x, v, w, piece, t0)
+    k2x, k2v = _rhs(kernel, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, w, piece, t0 + 0.5 * dt)
+    k3x, k3v = _rhs(kernel, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, w, piece, t0 + 0.5 * dt)
+    k4x, k4v = _rhs(kernel, x + dt * k3x, v + dt * k3v, w, piece, t0 + dt)
     x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
@@ -384,22 +416,24 @@ def integrate(
 
     record(t0, plan.piece_index_at(t0))
 
-    for seg_start, seg_end in zip(bounds, bounds[1:]):
-        piece_idx = plan.piece_index_at(seg_start)
-        piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
-        seg_dt = dt_max
-        if piece is not None and piece.dt is not None:
-            seg_dt = piece.dt if explicit_dt is None else min(explicit_dt, piece.dt)
-        nsteps = max(1, math.ceil((seg_end - seg_start) / seg_dt - 1e-9))
-        dt = (seg_end - seg_start) / nsteps
-        for k in range(nsteps):
-            x, v = _rk4_segment(
-                kernel, x, v, w, piece, seg_start + k * dt, seg_start + (k + 1) * dt
-            )
-            t_now = seg_end if k == nsteps - 1 else seg_start + (k + 1) * dt
-            if k == nsteps - 1 or (k + 1) % sample_stride == 0:
-                # audit against the piece governing the step just taken
-                record(t_now, piece_idx)
+    # a state that overflows raises IntegrationError, so numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg_start, seg_end in zip(bounds, bounds[1:]):
+            piece_idx = plan.piece_index_at(seg_start)
+            piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
+            seg_dt = dt_max
+            if piece is not None and piece.dt is not None:
+                seg_dt = piece.dt if explicit_dt is None else min(explicit_dt, piece.dt)
+            nsteps = max(1, math.ceil((seg_end - seg_start) / seg_dt - 1e-9))
+            dt = (seg_end - seg_start) / nsteps
+            for k in range(nsteps):
+                x, v = _rk4_segment(
+                    kernel, x, v, w, piece, seg_start + k * dt, seg_start + (k + 1) * dt
+                )
+                t_now = seg_end if k == nsteps - 1 else seg_start + (k + 1) * dt
+                if k == nsteps - 1 or (k + 1) % sample_stride == 0:
+                    # audit against the piece governing the step just taken
+                    record(t_now, piece_idx)
 
     final = Ensemble(x=x, v=v, w=w)
     return Trajectory(samples=samples, final=final)

@@ -68,15 +68,13 @@ class SupportBox:
     """Tightest axis-aligned box around the support, with normalizing frame.
 
     After subtracting the frame (x_shift, v_shift), positions lie in
-    [0, Y_j] and velocities in [0, W_j] per axis (a_j = 0 right after
-    renormalization).
+    [0, Y_j] and velocities in [0, W_j] per axis.
     """
 
     y: np.ndarray  # spatial extents per axis
-    a: np.ndarray  # velocity offsets per axis (0 in the normalized frame)
     w: np.ndarray  # velocity extents per axis
     x_shift: np.ndarray  # original x minus x_shift lands in [0, Y_j]
-    v_shift: np.ndarray  # original v minus v_shift lands in [a_j, a_j + W_j]
+    v_shift: np.ndarray  # original v minus v_shift lands in [0, W_j]
 
     def contains(self, e: Ensemble, slack: float = 0.0) -> bool:
         xs = e.x - self.x_shift[None, :]
@@ -84,8 +82,8 @@ class SupportBox:
         return bool(
             np.all(xs >= -slack)
             and np.all(xs <= self.y[None, :] + slack)
-            and np.all(vs >= self.a[None, :] - slack)
-            and np.all(vs <= (self.a + self.w)[None, :] + slack)
+            and np.all(vs >= -slack)
+            and np.all(vs <= self.w[None, :] + slack)
         )
 
 
@@ -108,10 +106,8 @@ def support_box(e: Ensemble) -> SupportBox:
     x_hi = e.x.max(axis=0)
     v_lo = e.v.min(axis=0)
     v_hi = e.v.max(axis=0)
-    d = e.d
     return SupportBox(
         y=x_hi - x_lo,
-        a=np.zeros(d),
         w=v_hi - v_lo,
         x_shift=x_lo,
         v_shift=v_lo,

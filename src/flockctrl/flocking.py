@@ -13,7 +13,7 @@ Three certificates that an initial configuration flocks without control:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,12 +31,7 @@ class FlockingVerdict:
     X_M: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "in_region": self.in_region,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "X_M": self.X_M,
-        }
+        return asdict(self)
 
 
 def _solve_xm(kernel: Kernel, X0: float, V0: float) -> float:
@@ -83,6 +78,12 @@ def corollary2_test(kernel: Kernel, X_tilde: float, V_tilde: float) -> FlockingV
     threshold = kernel.tail_integral(2.0 * X_tilde)
     margin = threshold - 2.0 * V_tilde
     return FlockingVerdict(in_region=2.0 * V_tilde <= threshold, threshold=threshold, margin=margin)
+
+
+def covering_box_test(kernel: Kernel, box) -> tuple[FlockingVerdict, float]:
+    """(corollary2_test on a support box's covering radii |Y|/2 and |W|/2, |W|/2)."""
+    v_tilde = 0.5 * float(np.linalg.norm(box.w))
+    return corollary2_test(kernel, 0.5 * float(np.linalg.norm(box.y)), v_tilde), v_tilde
 
 
 def finite_dim_test(kernel: Kernel, e: Ensemble) -> FlockingVerdict:

@@ -87,15 +87,6 @@ class PowerLawKernel(Kernel):
             out = self.K / base**self.gamma
         return float(out) if out.ndim == 0 else out
 
-    def phi_sq(self, r2):
-        # squared distances feed straight into the rational form
-        base = 1.0 + r2
-        if self.gamma == 1.0:
-            return self.K / base
-        if self.gamma == float(int(self.gamma)):
-            return self.K / base ** int(self.gamma)
-        return self.K / base**self.gamma
-
     def phi_sq_inplace(self, r2: np.ndarray) -> np.ndarray:
         r2 += 1.0
         if self.gamma != 1.0:
@@ -225,16 +216,6 @@ def kernel_from_dict(spec: dict) -> Kernel:
     if family == "custom":
         return TabulatedKernel(radii=tuple(spec["radii"]), values=tuple(spec["values"]))
     raise ValueError(f"unknown kernel family: {family!r}")
-
-
-def phi_eval(kernel: Kernel, r):
-    """Influence strength at distance r (scalar or array)."""
-    return kernel.phi(r)
-
-
-def tail_integral(kernel: Kernel, a: float) -> float:
-    """int_a^inf phi(2x) dx; +inf when the kernel tail is nonintegrable."""
-    return kernel.tail_integral(a)
 
 
 def xi_eval(kernel: Kernel, ensemble, x, v) -> np.ndarray:

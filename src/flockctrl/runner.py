@@ -9,7 +9,8 @@ produces three artifacts in the output directory:
 * ``plan.json``        -- the machine-readable control schedule, replayable.
 
 All outputs are deterministic for a fixed scenario (seeds included); timing
-is reported on stderr only so artifacts stay byte-reproducible.
+is reported on stderr only so artifacts stay byte-reproducible.  A replayed
+plan document is checked piece by piece before it is integrated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,20 +28,13 @@ from .control_mass import (
     ContractionError,
     DegenerateMeasureError,
     StrategyBudgetError,
-    StrategyResult,
     complete_strategy_1d,
     complete_strategy_multi_d,
 )
 from .control_space import complete_strategy_space
-from .dynamics import ControlPlan, Trajectory, decay_rate_estimate, integrate
-from .ensemble import (
-    Ensemble,
-    flocking_metrics,
-    grid_ensemble,
-    support_box,
-    uniform_box_ensemble,
-)
-from .flocking import corollary2_test, theorem3_test
+from .dynamics import BANDS, ControlPlan, IntegrationError, decay_rate_estimate, integrate
+from .ensemble import Ensemble, grid_ensemble, support_box, uniform_box_ensemble
+from .flocking import covering_box_test, theorem3_test
 from .kernels import Kernel, kernel_from_dict
 
 SCHEMA_VERSION = 1
@@ -77,7 +71,7 @@ class ConfigError(ValueError):
 
 
 class StrategyFailure(RuntimeError):
-    """A strategy raised after validation; no artifacts are written."""
+    """A synthesis, flight or replay failed after validation; no artifacts are written."""
 
 
 @dataclass
@@ -138,24 +132,7 @@ class RunSummary:
     worst_audits: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "steps": self.steps,
-            "total_control_time": self.total_control_time,
-            "eta": self.eta,
-            "terminal_box": self.terminal_box,
-            "verdict_before": self.verdict_before,
-            "verdict_after": self.verdict_after,
-            "decay_rate": self.decay_rate,
-            "lambda_at_control_off": self.lambda_at_control_off,
-            "lambda_final": self.lambda_final,
-            "success": self.success,
-            "worst_audits": self.worst_audits,
-        }
-
-
-def _listify(x):
-    return x if isinstance(x, list) else [x]
+        return asdict(self)
 
 
 def _is_number(x) -> bool:
@@ -246,6 +223,8 @@ def validate_config(raw: str) -> Scenario:
     eta = doc.get("eta")
     if eta is not None and (not _is_number(eta) or eta <= 0):
         errors.append("eta must be a positive finite number")
+    if doc.get("out") is not None and not isinstance(doc["out"], str):
+        errors.append("out must be a string naming a directory")
 
     if errors:
         raise ConfigError(errors)
@@ -268,7 +247,7 @@ def validate_config(raw: str) -> Scenario:
 def _box_dict(box) -> dict:
     return {
         "Y": [float(x) for x in box.y],
-        "a": [float(x) for x in box.a],
+        "a": [0.0] * len(box.y),  # velocity offsets, zero in the normalized frame
         "W": [float(x) for x in box.w],
         "x_shift": [float(x) for x in box.x_shift],
         "v_shift": [float(x) for x in box.v_shift],
@@ -291,10 +270,15 @@ def _free_flight(kernel, e, t0, horizon, dt_max):
 def run_scenario(s: Scenario, out_dir: str | None = None):
     """Execute a scenario end to end and write the three artifacts.
 
+    Mode ``none`` is one free flight over ``horizon``.  Modes ``mass`` and
+    ``volume`` run the matching ``complete_strategy_*``, then a free flight
+    over ``post_horizon`` from where the control switches off.  The summary
+    judges the final state by the covering-box certificate.
+
     Returns (RunSummary, Trajectory, ControlPlan).  Raises ConfigError for
-    invalid late-bound settings and StrategyFailure when a synthesis loop
-    fails.  The artifacts are written only after a run completes, so a
-    failed run leaves none, not even the output directory.
+    invalid late-bound settings and StrategyFailure when a synthesis loop or
+    a flight fails.  The artifacts are written only after a run completes, so
+    a failed run leaves none, not even the output directory.
     """
     t_wall = time.perf_counter()
     out = out_dir or s.out
@@ -306,23 +290,10 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
         )
 
     verdict_before = theorem3_test(kernel, e0)
-    records: list = []
-    worst: dict = {}
-
     try:
         if s.mode == "none":
-            plan = ControlPlan()
+            plan, records, eta, total_time = ControlPlan(), [], s.eta, 0.0
             traj = _free_flight(kernel, e0, 0.0, s.horizon, s.dt_max)
-            result = StrategyResult(
-                plan=plan,
-                trajectory=traj,
-                records=[],
-                eta=s.eta if s.eta is not None else math.nan,
-                final=traj.final,
-                total_control_time=0.0,
-                terminal_verdict=verdict_before,
-            )
-            control_off = 0.0
         else:
             if s.mode == "mass":
                 strategy = complete_strategy_1d if s.dimension == 1 else complete_strategy_multi_d
@@ -332,18 +303,17 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
                 kernel, e0, s.c, eta=s.eta, dt_max=s.dt_max,
                 step_budget=s.step_budget,
             )
-            control_off = result.plan.t_end
+            plan, records, eta = result.plan, result.records, result.eta
+            total_time, traj = result.total_control_time, result.trajectory
             if s.post_horizon > 0:
-                post = _free_flight(
-                    kernel, result.final, control_off, s.post_horizon, s.dt_max
-                )
-                result.trajectory = result.trajectory.extend(post)
-                result.final = post.final
-            records = result.records
-    except (StrategyBudgetError, ContractionError, DegenerateMeasureError) as exc:
+                post = _free_flight(kernel, result.final, plan.t_end, s.post_horizon, s.dt_max)
+                traj = traj.extend(post)
+    except (
+        StrategyBudgetError, ContractionError, DegenerateMeasureError, IntegrationError
+    ) as exc:
         raise StrategyFailure(str(exc)) from exc
 
-    traj = result.trajectory
+    control_off = plan.t_end
     lam_off = next(
         (x.metrics.Lambda for x in traj.samples if x.t >= control_off - 1e-12),
         traj.samples[-1].metrics.Lambda,
@@ -354,16 +324,15 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     except ValueError:
         decay = 0.0
 
-    box_f = support_box(result.final)
-    x_tilde = 0.5 * float(np.linalg.norm(box_f.y))
-    v_tilde = 0.5 * float(np.linalg.norm(box_f.w))
-    verdict_after = corollary2_test(kernel, x_tilde, v_tilde)
+    box_f = support_box(traj.final)
+    verdict_after, v_tilde = covering_box_test(kernel, box_f)
     safe_pass = 2.0 * v_tilde <= s.safety_factor * verdict_after.threshold
     success = bool(safe_pass and (decay > 0.0 or v_tilde == 0.0))
 
-    if records and isinstance(records[0], dict):
-        worst["max_omega_area"] = max(r["omega_area"] for r in records)
-        worst["max_u_sup"] = max(r["max_u_sup"] for r in records)
+    worst: dict = {}
+    if records and s.mode == "volume":
+        worst["max_omega_area"] = max(r.omega_area for r in records)
+        worst["max_u_sup"] = max(r.max_u_sup for r in records)
     elif records:
         worst["max_mass_in_omega"] = max(r.max_mass_in_omega for r in records)
         worst["max_u_sup"] = max(r.max_u_sup for r in records)
@@ -372,8 +341,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     summary = RunSummary(
         mode=s.mode,
         steps=len(records),
-        total_control_time=result.total_control_time,
-        eta=None if math.isnan(result.eta) else result.eta,
+        total_control_time=total_time,
+        eta=eta,
         terminal_box=_box_dict(box_f),
         verdict_before=verdict_before.to_dict(),
         verdict_after=verdict_after.to_dict(),
@@ -381,8 +350,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
         lambda_at_control_off=lam_off,
         lambda_final=lam_final,
         success=success,
+        worst_audits=worst,
     )
-    summary.worst_audits = worst
 
     if out is not None:
         os.makedirs(out, exist_ok=True)
@@ -392,30 +361,80 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             "schema_version": SCHEMA_VERSION,
             "dimension": e0.d,
             "kernel": kernel.to_dict(),
-            "plan": result.plan.to_dict(),
+            "plan": plan.to_dict(),
         }
         _write_json(os.path.join(out, "plan.json"), plan_doc)
     print(
         f"scenario done in {time.perf_counter() - t_wall:.2f}s wall",
         file=sys.stderr,
     )
-    return summary, traj, result.plan
+    return summary, traj, plan
+
+
+_PIECE_NUMBERS = ("t_start", "t_end", "t_ref", "x_shift", "v_shift")
+_PIECE_KEYS = {*_PIECE_NUMBERS, "kind", "axis", "params"}
+
+
+def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
+    """The control plan of a replay document; ConfigError at its first flaw.
+
+    Each piece needs finite numbers for its times and frame, a positive
+    duration, an integer axis below ``dimension``, a known kind, and exactly
+    that kind's parameters as finite numbers; ``dt`` may be null or positive.
+    """
+    if not isinstance(plan_doc, dict):
+        raise ConfigError(["plan document must be an object"])
+    if plan_doc.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(["plan schema_version mismatch"])
+    if plan_doc.get("dimension") != dimension:
+        raise ConfigError(["plan and scenario dimensions differ"])
+    plan = plan_doc.get("plan")
+    pieces = plan.get("pieces") if isinstance(plan, dict) else None
+    if not isinstance(pieces, list):
+        raise ConfigError(["plan document needs a 'plan' object with a 'pieces' list"])
+    for i, p in enumerate(pieces):
+        if not isinstance(p, dict) or not _PIECE_KEYS <= set(p):
+            problem = f"must be an object with keys {sorted(_PIECE_KEYS)}"
+        elif not all(_is_number(p[k]) for k in _PIECE_NUMBERS):
+            problem = f"{', '.join(_PIECE_NUMBERS)} must be finite numbers"
+        elif not p["t_end"] > p["t_start"]:
+            problem = "must have positive duration"
+        elif p.get("dt") is not None and not (_is_number(p["dt"]) and p["dt"] > 0):
+            problem = "dt must be null or a positive finite number"
+        elif not (_is_integer(p["axis"]) and 0 <= p["axis"] < dimension):
+            problem = f"axis must be an integer in [0, {dimension})"
+        elif not (isinstance(p["kind"], str) and p["kind"] in BANDS):
+            problem = f"kind must be one of {sorted(BANDS)}"
+        elif not (
+            isinstance(p["params"], dict)
+            and set(p["params"]) == set(BANDS[p["kind"]].params)
+            and all(_is_number(x) for x in p["params"].values())
+        ):
+            problem = f"params must be finite numbers named {sorted(BANDS[p['kind']].params)}"
+        else:
+            continue
+        raise ConfigError([f"plan piece {i}: {problem}"])
+    try:
+        return ControlPlan.from_dict(plan)
+    except ValueError as exc:  # pieces that overlap or leave a gap
+        raise ConfigError([f"bad plan: {exc}"]) from exc
 
 
 def replay_plan(plan_doc: dict, s: Scenario, post_horizon: float | None = None):
     """Re-integrate an exported plan against the scenario's initial ensemble.
 
     The plan may have been synthesized against a different particle count;
-    this is the mean-field robustness check.  Returns the Trajectory.
+    this is the mean-field robustness check.  Returns the Trajectory.  A
+    malformed plan document raises ConfigError, and a flight whose state
+    stops being finite raises StrategyFailure.
     """
-    if plan_doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(["plan schema_version mismatch"])
-    if plan_doc.get("dimension") != s.dimension:
-        raise ConfigError(["plan and scenario dimensions differ"])
+    plan = _parse_plan(plan_doc, s.dimension)
     kernel = s.build_kernel()
     e0 = s.build_ensemble()
-    plan = ControlPlan.from_dict(plan_doc["plan"])
     horizon = plan.t_end + (s.post_horizon if post_horizon is None else post_horizon)
     # dt_max=None lets the pieces' synthesis-time step hints drive the
     # integrator, reproducing the original run exactly on the control window
-    return integrate(kernel, e0, plan, horizon, dt_max=s.dt_max)
+    try:
+        return integrate(kernel, e0, plan, horizon, dt_max=s.dt_max)
+    except IntegrationError as exc:
+        raise StrategyFailure(str(exc)) from exc

@@ -11,15 +11,18 @@ from flockctrl import (
     Ensemble,
     ExponentialKernel,
     PowerLawKernel,
+    StepRecord,
+    StrategyBudgetError,
+    SupportBox,
     TabulatedKernel,
     axis_step_params,
-    build_control_piece_1d,
+    build_control_piece,
     complete_strategy_1d,
     complete_strategy_multi_d,
-    fundamental_step_1d,
+    complete_strategy_space,
+    fundamental_step,
     grid_ensemble,
     normalized,
-    step_params_1d,
     support_box,
     theorem4_threshold,
     uniform_box_ensemble,
@@ -33,10 +36,16 @@ def _normalized_uniform(n=400, seed=7, hi=1.0):
     return normalized(e)
 
 
+def _identity_box(p):
+    """A one-dimensional support box whose frame is the identity."""
+    return SupportBox(y=np.array([p.Y0]), w=np.array([p.W0]),
+                      x_shift=np.zeros(1), v_shift=np.zeros(1))
+
+
 class TestStepParams:
     def test_slice_count_and_cuts(self):
         e = normalized(grid_ensemble(0.0, 1.0, 0.0, 1.0, 200, 10))
-        p = step_params_1d(PowerLawKernel(1.0, 1.0), e, 0.5)
+        p = axis_step_params(PowerLawKernel(1.0, 1.0), e, 0, 0.5)
         assert p.n == 4
         np.testing.assert_allclose(p.cuts, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0.01)
         np.testing.assert_allclose(p.slice_masses, 0.25, atol=0.01)
@@ -44,7 +53,7 @@ class TestStepParams:
     def test_widening_approaches_continuum_value(self):
         # extended slab mass 0.25 + 6 eps <= 0.5 gives eps = 1/24 in the limit
         e = normalized(grid_ensemble(0.0, 1.0, 0.0, 1.0, 400, 5))
-        p = step_params_1d(PowerLawKernel(1.0, 1.0), e, 0.5)
+        p = axis_step_params(PowerLawKernel(1.0, 1.0), e, 0, 0.5)
         assert p.eps0 == pytest.approx(1.0 / 24.0, abs=5e-3)
 
     def test_symmetric_support_balances_alpha_beta(self):
@@ -52,14 +61,14 @@ class TestStepParams:
         x = np.linspace(0.0, 1.0, 50)
         v = np.concatenate([np.linspace(0.0, 1.0, 25), np.linspace(1.0, 0.0, 25)])
         e = normalized(Ensemble.from_points(x, v))
-        p = step_params_1d(ExponentialKernel(1.0, 1.0), e, 0.5)
+        p = axis_step_params(ExponentialKernel(1.0, 1.0), e, 0, 0.5)
         assert p.vbar0 == pytest.approx(p.W0 / 2.0, abs=1e-9)
         phid = ExponentialKernel(1.0, 1.0).phi(p.diam)
         assert p.alpha0 == pytest.approx(1.0 / (1.0 + phid) * p.W0 / 2.0, rel=1e-9)
 
     def test_constant_kernel_factors(self):
         e = _normalized_uniform(n=100, seed=1)
-        p = step_params_1d(CONSTANT_KERNEL, e, 0.5)
+        p = axis_step_params(CONSTANT_KERNEL, e, 0, 0.5)
         width = max(p.W0 - p.vbar0, p.vbar0)
         assert p.alpha0 == pytest.approx(width / 2.0)
         assert p.beta0 == pytest.approx(width / 6.0)
@@ -67,24 +76,24 @@ class TestStepParams:
     def test_t0_formula(self):
         e = _normalized_uniform(n=200, seed=2)
         c = 0.5
-        p = step_params_1d(PowerLawKernel(1.0, 1.0), e, c)
+        p = axis_step_params(PowerLawKernel(1.0, 1.0), e, 0, c)
         assert p.T0 == pytest.approx(min(p.eps0 / p.W0, p.beta0 / (2.0 * c), 1.0))
 
     def test_flocked_axis_signals(self):
         e = Ensemble.from_points([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(AlreadyFlockedSignal):
-            step_params_1d(PowerLawKernel(), normalized(e), 0.5)
+            axis_step_params(PowerLawKernel(), normalized(e), 0, 0.5)
 
     def test_heavy_atom_cluster_rejected(self):
         # all spatial mass at one point: no widened column can stay under c
         e = Ensemble.from_points([0.0, 0.0, 0.0], [0.0, 0.5, 1.0])
         with pytest.raises(DegenerateMeasureError):
-            step_params_1d(PowerLawKernel(), e, 0.5)
+            axis_step_params(PowerLawKernel(), e, 0, 0.5)
 
     def test_widened_columns_respect_budget(self):
         e = _normalized_uniform(n=300, seed=3)
         c = 0.4
-        p = step_params_1d(PowerLawKernel(1.0, 1.0), e, c)
+        p = axis_step_params(PowerLawKernel(1.0, 1.0), e, 0, c)
         coords = e.x[:, 0]
         for i in range(p.n):
             lo = p.cuts[i] - 3.0 * p.eps0
@@ -96,8 +105,8 @@ class TestStepParams:
 class TestControlPieceGeometry:
     def test_plateau_and_boundary(self):
         e = _normalized_uniform(n=150, seed=4)
-        p = step_params_1d(PowerLawKernel(1.0, 1.0), e, 0.5)
-        piece = build_control_piece_1d(p, 1, 0.0)
+        p = axis_step_params(PowerLawKernel(1.0, 1.0), e, 0, 0.5)
+        piece = build_control_piece(p, 1, 0.0, _identity_box(p))
         x_mid = 0.5 * (p.cuts[0] + p.cuts[1])
         x = np.array([[x_mid]])
         # upper plateau: force -1
@@ -115,18 +124,18 @@ class TestControlPieceGeometry:
 
     def test_slice_index_bounds(self):
         e = _normalized_uniform(n=50, seed=5)
-        p = step_params_1d(PowerLawKernel(), e, 0.5)
+        p = axis_step_params(PowerLawKernel(), e, 0, 0.5)
         with pytest.raises(ValueError):
-            build_control_piece_1d(p, 0, 0.0)
+            build_control_piece(p, 0, 0.0, _identity_box(p))
         with pytest.raises(ValueError):
-            build_control_piece_1d(p, p.n + 1, 0.0)
+            build_control_piece(p, p.n + 1, 0.0, _identity_box(p))
 
 
 class TestFundamentalStep:
     def test_contraction_and_audits(self):
         e = uniform_box_ensemble(400, 0.0, 1.0, 0.0, 1.0, seed=7)
         c = 0.5
-        e1, rec, frag, traj = fundamental_step_1d(PowerLawKernel(1.0, 1.0), e, c)
+        e1, rec, frag, traj = fundamental_step(PowerLawKernel(1.0, 1.0), e, c)
         assert rec.W_after[0] <= rec.W_before[0] - rec.params.T0 / rec.params.n + 1e-6
         assert rec.max_mass_in_omega <= c + 2.0 * e.w.max()
         assert rec.max_u_sup <= 1.0 + 1e-12
@@ -137,7 +146,7 @@ class TestFundamentalStep:
     def test_dimension_guard(self):
         e = uniform_box_ensemble(20, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], seed=1)
         with pytest.raises(ValueError):
-            fundamental_step_1d(PowerLawKernel(), e, 0.5)
+            complete_strategy_1d(PowerLawKernel(), e, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +212,25 @@ class TestCompleteStrategy1D:
         e = uniform_box_ensemble(50, 0.0, 1.0, 0.0, 1.0, seed=3)
         res = complete_strategy_1d(PowerLawKernel(1.0, 0.4), e, 0.5)
         assert len(res.records) == 0  # eta is infinite
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize(
+        "strategy, e0, c",
+        [
+            (complete_strategy_1d, uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 0.5),
+            (complete_strategy_multi_d,
+             uniform_box_ensemble(40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5),
+             0.5),
+            (complete_strategy_space, uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 1.0),
+        ],
+        ids=["mass_1d", "mass_2d", "volume"],
+    )
+    def test_one_step_budget_carries_one_record(self, strategy, e0, c):
+        with pytest.raises(StrategyBudgetError) as exc_info:
+            strategy(ExponentialKernel(1.0, 1.0), e0, c, step_budget=1)
+        assert len(exc_info.value.records) == 1
+        assert isinstance(exc_info.value.records[0], StepRecord)
 
 
 class TestMultiD:

@@ -7,6 +7,7 @@ import pytest
 
 from flockctrl import (
     AlreadyFlockedSignal,
+    ControlPiece,
     Ensemble,
     ExponentialKernel,
     PowerLawKernel,
@@ -14,7 +15,6 @@ from flockctrl import (
     complete_strategy_space,
     fundamental_step_space,
     normalized,
-    space_force,
     space_step_params,
     support_box,
     theorem6_threshold,
@@ -27,6 +27,15 @@ CONSTANT_KERNEL = TabulatedKernel((0.0, 1000.0), (1.0, 1.0))
 def _normalized_uniform(n=200, seed=7, x_hi=1.0, v_hi=1.0):
     e = uniform_box_ensemble(n, 0.0, x_hi, 0.0, v_hi, seed=seed)
     return normalized(e)
+
+
+def _band_force(params, x, v):
+    """Band force at normalized (x, v): force_axis of the step's piece in the identity frame."""
+    piece = ControlPiece(0.0, params.T0, "space_band", axis=0, t_ref=0.0, x_shift=0.0,
+                         v_shift=0.0, params={"eps": params.eps0, "y0": params.Y0, "w0": params.W0})
+    x, v = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(v))
+    f = piece.force_axis(x[:, None], v[:, None], 0.0)
+    return f if f.size > 1 else float(f[0])
 
 
 class TestSpaceStepParams:
@@ -83,21 +92,21 @@ class TestSpaceForce:
 
     def test_plateau_core_is_minus_one(self, params):
         x = 0.5 * params.Y0
-        assert space_force(params, x, params.W0) == pytest.approx(-1.0)
+        assert _band_force(params, x, params.W0) == pytest.approx(-1.0)
 
     def test_zero_below_band(self, params):
         x = 0.5 * params.Y0
-        assert space_force(params, x, params.W0 - 3.0 * params.eps0) == 0.0
-        assert space_force(params, x, 0.0) == 0.0
+        assert _band_force(params, x, params.W0 - 3.0 * params.eps0) == 0.0
+        assert _band_force(params, x, 0.0) == 0.0
 
     def test_spatial_ramp_half_height(self, params):
-        assert space_force(params, -params.eps0 / 2.0, params.W0) == pytest.approx(-0.5)
+        assert _band_force(params, -params.eps0 / 2.0, params.W0) == pytest.approx(-0.5)
 
     def test_bounded_by_one_everywhere(self, params):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1.0, params.Y0 + 1.0, size=500)
         v = rng.uniform(-1.0, params.W0 + 1.0, size=500)
-        f = space_force(params, x, v)
+        f = _band_force(params, x, v)
         assert np.all(f <= 0.0) and np.all(f >= -1.0)
 
 
@@ -105,13 +114,13 @@ class TestFundamentalStepSpace:
     def test_contraction_and_audit(self):
         e = uniform_box_ensemble(200, 0.0, 0.4, 0.0, 0.6, seed=7)
         e1, rec, frag, traj = fundamental_step_space(ExponentialKernel(1.0, 1.0), e, 1.0)
-        p = rec["params"]
-        assert rec["omega_area"] <= 1.0
-        assert rec["max_u_sup"] <= 1.0 + 1e-12
-        assert rec["W_after"] <= p["W0"] - p["eps0"] + 1e-6
-        assert rec["Y_after"] <= p["Y0"] + p["eps0"] * p["W0"] + 1e-6
-        assert frag.total_control_time() == pytest.approx(p["T0"])
-        assert support_box(e1).w[0] == pytest.approx(rec["W_after"])
+        p = rec.params
+        assert rec.omega_area <= 1.0
+        assert rec.max_u_sup <= 1.0 + 1e-12
+        assert rec.W_after[0] <= p.W0 - p.eps0 + 1e-6
+        assert rec.Y_after[0] <= p.Y0 + p.eps0 * p.W0 + 1e-6
+        assert frag.total_control_time() == pytest.approx(p.T0)
+        assert support_box(e1).w[0] == pytest.approx(rec.W_after[0])
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +146,8 @@ class TestCompleteStrategySpace:
     def test_per_step_contraction_chain(self, run):
         _, _, res = run
         for a, b in zip(res.records, res.records[1:]):
-            assert b["W_before"] <= a["W_after"] + 1e-12
-            assert a["W_after"] <= a["W_before"] - a["params"]["eps0"] + 1e-6
+            assert b.W_before[0] <= a.W_after[0] + 1e-12
+            assert a.W_after[0] <= a.W_before[0] - a.params.eps0 + 1e-6
 
     def test_budget_bounds(self, run):
         _, e0, res = run
@@ -146,7 +155,7 @@ class TestCompleteStrategySpace:
         W0, Y0 = float(box.w[0]), float(box.y[0])
         assert res.total_control_time <= W0 + 1e-9
         assert support_box(res.final).y[0] <= Y0 + W0 * W0 + 1e-6
-        assert max(r["omega_area"] for r in res.records) <= 1.0
+        assert max(r.omega_area for r in res.records) <= 1.0
 
     def test_plan_is_contiguous(self, run):
         _, _, res = run

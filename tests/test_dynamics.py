@@ -255,7 +255,7 @@ def _synthetic_traj(ts, vs):
         m = FlockingMetrics(
             xbar=np.zeros(d), vbar=np.zeros(d), Lambda=V * V, X=0.0, V=V
         )
-        box = SupportBox(y=np.zeros(d), a=np.zeros(d), w=np.full(d, 2 * V),
+        box = SupportBox(y=np.zeros(d), w=np.full(d, 2 * V),
                          x_shift=np.zeros(d), v_shift=np.zeros(d))
         samples.append(TrajectorySample(t=t, metrics=m, box=box,
                                         mass_in_omega=0.0, omega_volume=0.0,

@@ -86,7 +86,7 @@ class TestSupportBox:
         e = Ensemble.from_points([1.0, 4.0], [2.0, 5.0])
         box = support_box(e)
         assert box.x_shift[0] == 1.0 and box.v_shift[0] == 2.0
-        assert box.y[0] == 3.0 and box.w[0] == 3.0 and box.a[0] == 0.0
+        assert box.y[0] == 3.0 and box.w[0] == 3.0
 
     def test_containment_after_normalization(self):
         e = _random_ensemble(11, n=25, d=2)

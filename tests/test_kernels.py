@@ -16,8 +16,6 @@ from flockctrl import (
     interaction_field,
     inward_radii,
     kernel_from_dict,
-    phi_eval,
-    tail_integral,
     uniform_box_ensemble,
     xi_eval,
 )
@@ -26,18 +24,18 @@ from flockctrl.kernels import _EXP_SEGMENT
 
 class TestPhiEval:
     def test_power_law_at_zero(self):
-        assert phi_eval(PowerLawKernel(1.0, 1.0), 0.0) == 1.0
+        assert PowerLawKernel(1.0, 1.0).phi(0.0) == 1.0
 
     def test_power_law_at_one(self):
         # 1 / (1 + 1^2)
-        assert phi_eval(PowerLawKernel(1.0, 1.0), 1.0) == pytest.approx(0.5)
+        assert PowerLawKernel(1.0, 1.0).phi(1.0) == pytest.approx(0.5)
 
     def test_exponential_at_zero(self):
-        assert phi_eval(ExponentialKernel(2.0, 1.0), 0.0) == 2.0
+        assert ExponentialKernel(2.0, 1.0).phi(0.0) == 2.0
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            phi_eval(PowerLawKernel(), -0.1)
+            PowerLawKernel().phi(-0.1)
 
     def test_positive_and_nonincreasing_on_grid(self):
         grid = np.linspace(0.0, 50.0, 400)
@@ -59,37 +57,37 @@ class TestPhiEval:
 class TestTailIntegral:
     def test_power_law_gamma_one_closed_form(self):
         # int_0^inf dx/(1+4x^2) = pi/4
-        assert tail_integral(PowerLawKernel(1.0, 1.0), 0.0) == pytest.approx(
+        assert PowerLawKernel(1.0, 1.0).tail_integral(0.0) == pytest.approx(
             math.pi / 4.0, rel=1e-12
         )
 
     def test_exponential_closed_form(self):
-        assert tail_integral(ExponentialKernel(1.0, 1.0), 0.0) == pytest.approx(0.5)
+        assert ExponentialKernel(1.0, 1.0).tail_integral(0.0) == pytest.approx(0.5)
 
     def test_divergent_power_law(self):
-        assert tail_integral(PowerLawKernel(1.0, 0.5), 1.0) == math.inf
+        assert PowerLawKernel(1.0, 0.5).tail_integral(1.0) == math.inf
         assert PowerLawKernel(1.0, 0.5).tail_diverges
 
     def test_tabulated_tail_diverges(self):
         k = TabulatedKernel((0.0, 1.0), (1.0, 0.5))
         assert k.tail_diverges
-        assert tail_integral(k, 3.0) == math.inf
+        assert k.tail_integral(3.0) == math.inf
 
     @pytest.mark.parametrize("gamma", [0.8, 1.0, 1.5, 2.3])
     def test_quadrature_consistency(self, gamma):
         k = PowerLawKernel(1.3, gamma)
         for a in (0.0, 0.5, 2.0):
             ref, _ = quad(lambda x: k.phi(2.0 * x), a, math.inf, limit=200)
-            assert tail_integral(k, a) == pytest.approx(ref, rel=1e-8)
+            assert k.tail_integral(a) == pytest.approx(ref, rel=1e-8)
 
     def test_nonincreasing_in_lower_limit(self):
         k = ExponentialKernel(2.0, 0.7)
-        vals = [tail_integral(k, a) for a in np.linspace(0, 5, 20)]
+        vals = [k.tail_integral(a) for a in np.linspace(0, 5, 20)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
-            tail_integral(PowerLawKernel(), -1.0)
+            PowerLawKernel().tail_integral(-1.0)
 
 
 class TestKernelFromDict:

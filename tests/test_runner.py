@@ -10,6 +10,8 @@ from flockctrl import (
     ControlPlan,
     ExponentialKernel,
     complete_strategy_1d,
+    complete_strategy_multi_d,
+    complete_strategy_space,
     integrate,
     replay_plan,
     run_scenario,
@@ -52,6 +54,26 @@ MASS_SMALL = {
     },
     "post_horizon": 3.0,
 }
+
+VOLUME_SMALL = dict(
+    MASS_SMALL,
+    mode="volume",
+    c=1.0,
+    initial=dict(MASS_SMALL["initial"], particles=40),
+)
+
+# a plan document with one valid piece; the replay probes below break it
+GOOD_PIECE = {
+    "t_start": 0.0, "t_end": 0.1, "kind": "mass_band", "axis": 0, "t_ref": 0.0,
+    "x_shift": 0.0, "v_shift": 0.0, "dt": 0.05,
+    "params": {"x_lo": 0.0, "x_hi": 0.3, "vbar": 0.15, "alpha": 0.01, "beta": 0.02,
+               "eps": 0.01},
+}
+
+
+def _plan_doc(drop=(), **changes):
+    piece = {k: v for k, v in dict(GOOD_PIECE, **changes).items() if k not in drop}
+    return {"schema_version": 1, "dimension": 1, "plan": {"pieces": [piece]}}
 
 
 def _scenario(doc):
@@ -127,6 +149,10 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="dimension must be a positive integer"):
             _scenario(dict(MINIMAL, dimension=True))
 
+    def test_non_string_out_rejected(self):
+        with pytest.raises(ConfigError, match="out must be a string"):
+            _scenario(dict(MINIMAL, out=5))
+
 
 class TestRunScenario:
     def test_mode_none_in_region(self, tmp_path):
@@ -165,19 +191,33 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="dimension"):
             run_scenario(_scenario(doc))
 
-    def test_artifacts_are_deterministic(self, tmp_path):
+    @pytest.mark.parametrize(
+        "doc", [MASS_SMALL, VOLUME_SMALL, MINIMAL], ids=["mass", "volume", "none"]
+    )
+    def test_artifacts_are_deterministic(self, tmp_path, doc):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_scenario(_scenario(dict(MASS_SMALL, out=str(a))))
-        run_scenario(_scenario(dict(MASS_SMALL, out=str(b))))
+        run_scenario(_scenario(dict(doc, out=str(a))))
+        run_scenario(_scenario(dict(doc, out=str(b))))
         for name in ("trajectory.csv", "summary.json", "plan.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestReplay:
-    def test_replay_reproduces_synthesis_exactly(self):
+    @pytest.mark.parametrize(
+        "strategy, e0, c",
+        [
+            (complete_strategy_1d, uniform_box_ensemble(60, 0.0, 0.3, 0.0, 0.3, seed=5), 0.5),
+            (complete_strategy_multi_d,
+             uniform_box_ensemble(40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5),
+             0.5),
+            (complete_strategy_space, uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 1.0),
+        ],
+        ids=["mass_1d", "mass_2d", "volume"],
+    )
+    def test_replay_reproduces_synthesis_exactly(self, strategy, e0, c):
         k = ExponentialKernel(1.0, 1.0)
-        e0 = uniform_box_ensemble(60, 0.0, 0.3, 0.0, 0.3, seed=5)
-        res = complete_strategy_1d(k, e0, 0.5)
+        res = strategy(k, e0, c)
+        assert res.records
         traj = integrate(k, e0, res.plan, res.plan.t_end, dt_max=None)
         np.testing.assert_array_equal(traj.final.x, res.final.x)
         np.testing.assert_array_equal(traj.final.v, res.final.v)
@@ -270,6 +310,65 @@ class TestCli:
 
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["run", "replay"])
+    def test_exit_three_on_integration_failure(self, tmp_path, capsys, replay):
+        # the second particle's velocity overflows the state within the horizon
+        doc = dict(
+            MINIMAL,
+            initial={"kind": "explicit", "x": [[0.0], [1.0]], "v": [[0.0], [1e308]]},
+            horizon=400.0,
+            post_horizon=400.0,
+            dt_max=1.0,
+        )
+        argv = ["--config", self._write_config(tmp_path, doc)]
+        if replay:
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(
+                {"schema_version": 1, "dimension": 1, "plan": {"pieces": []}}
+            ))
+            argv += ["--replay", str(plan)]
+        assert cli_main(argv) == 3
+        assert "strategy failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "plan_text",
+        [
+            None,
+            "{not json",
+            json.dumps([1, 2]),
+            json.dumps({"schema_version": 1, "dimension": 1}),
+            json.dumps(_plan_doc(drop=("t_end",))),
+            json.dumps(_plan_doc(t_start=float("nan"))),
+            json.dumps(_plan_doc(x_shift="0.0")),
+            json.dumps(_plan_doc(kind="mystery")),
+            json.dumps(_plan_doc(t_end=0.0)),
+            json.dumps(_plan_doc(axis=1)),
+            json.dumps(_plan_doc(axis=0.0)),
+            json.dumps(_plan_doc(dt=-0.1)),
+            json.dumps(_plan_doc(params={"eps": 0.1, "y0": 1.0, "w0": 1.0})),
+            json.dumps(_plan_doc(params=dict(GOOD_PIECE["params"], beta=float("inf")))),
+        ],
+        ids=[
+            "missing_file", "bad_json", "not_an_object", "no_plan", "no_t_end",
+            "nan_t_start", "string_x_shift", "unknown_kind", "zero_duration",
+            "axis_past_dimension", "float_axis", "negative_dt", "wrong_params",
+            "infinite_param",
+        ],
+    )
+    def test_exit_two_on_bad_replay_plan(self, tmp_path, capsys, plan_text):
+        cfg = self._write_config(tmp_path, MASS_SMALL)
+        plan = tmp_path / "plan.json"
+        if plan_text is not None:
+            plan.write_text(plan_text)
+        assert cli_main(["--config", cfg, "--replay", str(plan)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_good_replay_plan_probe_runs(self, tmp_path):
+        cfg = self._write_config(tmp_path, dict(MASS_SMALL, post_horizon=0.0))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(_plan_doc()))
+        assert cli_main(["--config", cfg, "--replay", str(plan)]) == 0
 
     def test_exit_three_on_strategy_failure(self, tmp_path, capsys):
         # one heavy atom cluster: no positive column widening fits c
