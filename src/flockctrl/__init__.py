@@ -33,6 +33,7 @@ from .dynamics import (
     ControlPiece,
     ControlPlan,
     IntegrationError,
+    SampleColumns,
     Trajectory,
     TrajectorySample,
     decay_rate_estimate,

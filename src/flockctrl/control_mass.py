@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlPiece, ControlPlan, Trajectory, append_samples, integrate
+from .dynamics import ControlPiece, ControlPlan, SampleStore, integrate
 from .ensemble import (
     Ensemble,
     SupportBox,
@@ -283,24 +283,25 @@ def fundamental_step(
     frag = ControlPlan(pieces=tuple(pieces))
     traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)
 
+    cols = traj.columns
     vbar_ref = float(box.v_shift[axis]) + params.vbar0
-    max_mass = max(s.mass_in_omega for s in traj.samples)
-    max_u = max(s.u_sup for s in traj.samples)
-    max_drift = max(abs(float(s.metrics.vbar[axis]) - vbar_ref) for s in traj.samples)
-    box_after = support_box(traj.final)
+    max_mass = float(cols.mass.max())
+    max_u = float(cols.u_sup.max())
+    max_drift = float(np.abs(cols.vbar[:, axis] - vbar_ref).max())
+    # the last sample is the final state
+    W_after, Y_after = cols.W[-1].copy(), cols.Y[-1].copy()
 
     target = params.W0 - params.T0 / params.n
-    if box_after.w[axis] > target + _CONTRACTION_SLACK:
+    if W_after[axis] > target + _CONTRACTION_SLACK:
         raise ContractionError(
-            f"step on axis {axis} contracted W to {box_after.w[axis]:.9f}, "
+            f"step on axis {axis} contracted W to {W_after[axis]:.9f}, "
             f"above the guaranteed {target:.9f}"
         )
     v_lo = float(box.v_shift[axis])
-    for s in traj.samples:
-        lo = float(s.box.v_shift[axis])
-        hi = lo + float(s.box.w[axis])
-        if lo < v_lo - _BOX_SLACK or hi > v_lo + params.W0 + _BOX_SLACK:
-            raise ContractionError("velocity box invariance violated during step")
+    lo = cols.v_shift[:, axis]
+    hi = lo + cols.W[:, axis]
+    if np.any(lo < v_lo - _BOX_SLACK) or np.any(hi > v_lo + params.W0 + _BOX_SLACK):
+        raise ContractionError("velocity box invariance violated during step")
     if max_drift > params.beta0 / 2.0 + _BOX_SLACK:
         raise ContractionError("barycenter drifted beyond beta0/2 during step")
 
@@ -309,9 +310,9 @@ def fundamental_step(
         t_start=t_start,
         t_end=frag.t_end,
         W_before=box.w.copy(),
-        W_after=box_after.w.copy(),
+        W_after=W_after,
         Y_before=box.y.copy(),
-        Y_after=box_after.y.copy(),
+        Y_after=Y_after,
         max_mass_in_omega=max_mass,
         max_u_sup=max_u,
         max_vbar_drift=max_drift,
@@ -341,19 +342,21 @@ def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float)
 def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bound=math.inf):
     """Run ``step(e, axis, t_start)`` on each axis in turn until its W drops to eta.
 
-    Pieces and samples go on running lists, so the loop is linear in the
-    steps.  Then it audits the guarantees: no finished axis regrows above eta,
-    total control time <= time_bound, spatial extent on axis 0 <= spread_bound.
+    Pieces go on a running list and samples into one SampleStore, so the
+    loop is linear in the steps.  Then it audits the guarantees: no finished
+    axis regrows above eta, total control time <= time_bound, spatial extent
+    on axis 0 <= spread_bound.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     records: list[StepRecord] = []
     pieces: list[ControlPiece] = []
-    samples = integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01).samples
-    e, t_end = e0, 0.0
+    store = SampleStore(e0.d)
+    store.append(integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01))
+    e, t_end, W = e0, 0.0, support_box(e0).w
     phase_end_times = []
     for axis in axes:
-        while support_box(e).w[axis] > eta:
+        while W[axis] > eta:
             if len(records) >= step_budget:
                 raise StrategyBudgetError(
                     f"exceeded {step_budget} fundamental steps before W <= eta",
@@ -362,18 +365,18 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
             e, rec, frag, step_traj = step(e, axis, t_end)
             records.append(rec)
             pieces.extend(frag.pieces)
-            append_samples(samples, step_traj.samples)
-            t_end = rec.t_end
+            store.append(step_traj)
+            t_end, W = rec.t_end, rec.W_after
         phase_end_times.append(t_end)
     plan = ControlPlan(pieces=tuple(pieces))
-    traj = Trajectory(samples=samples, final=e)
+    traj = store.trajectory(e)
 
+    cols = traj.columns
     for axis, t_done in zip(axes, phase_end_times):
-        for s in traj.samples:
-            if s.t >= t_done - 1e-12 and s.box.w[axis] > eta + _BOX_SLACK:
-                raise ContractionError(
-                    f"axis {axis} velocity extent regrew above eta after its phase"
-                )
+        if np.any(cols.W[cols.t >= t_done - 1e-12, axis] > eta + _BOX_SLACK):
+            raise ContractionError(
+                f"axis {axis} velocity extent regrew above eta after its phase"
+            )
     total_time = plan.total_control_time()
     if total_time > time_bound + 1e-9:
         raise ContractionError("total control time exceeded the guaranteed bound")

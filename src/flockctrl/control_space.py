@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .control_mass import (
     AlreadyFlockedSignal,
     ContractionError,
@@ -137,28 +139,28 @@ def fundamental_step_space(
 
     if params.omega_area > c:
         raise ContractionError("band area exceeds the budget after shrink")
-    max_u = max(s.u_sup for s in traj.samples)
-    box_after = support_box(traj.final)
-    if box_after.w[0] > params.W0 - params.eps0 + _SLACK:
+    cols = traj.columns
+    max_u = float(cols.u_sup.max())
+    # the last sample is the final state
+    W_after, Y_after = cols.W[-1].copy(), cols.Y[-1].copy()
+    if W_after[0] > params.W0 - params.eps0 + _SLACK:
         raise ContractionError(
-            f"step contracted W to {box_after.w[0]:.9f}, above the guaranteed "
+            f"step contracted W to {W_after[0]:.9f}, above the guaranteed "
             f"{params.W0 - params.eps0:.9f}"
         )
-    if box_after.y[0] > params.Y0 + params.eps0 * params.W0 + _SLACK:
+    if Y_after[0] > params.Y0 + params.eps0 * params.W0 + _SLACK:
         raise ContractionError("spatial spread exceeded the per-step bound")
-    v_lo = float(box.v_shift[0])
-    for s in traj.samples:
-        if float(s.box.v_shift[0]) < v_lo - _SLACK:
-            raise ContractionError("lower velocity edge dropped during step")
+    if np.any(cols.v_shift[:, 0] < float(box.v_shift[0]) - _SLACK):
+        raise ContractionError("lower velocity edge dropped during step")
 
     record = StepRecord(
         params=params,
         t_start=t_start,
         t_end=frag.t_end,
         W_before=box.w.copy(),
-        W_after=box_after.w.copy(),
+        W_after=W_after,
         Y_before=box.y.copy(),
-        Y_after=box_after.y.copy(),
+        Y_after=Y_after,
         max_u_sup=max_u,
         omega_area=params.omega_area,
     )

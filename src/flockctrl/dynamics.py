@@ -16,19 +16,14 @@ translated coordinates in which the bands were designed.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import (
-    Ensemble,
-    FlockingMetrics,
-    SupportBox,
-    flocking_metrics,
-    support_box,
-)
+from .ensemble import Ensemble, FlockingMetrics, SupportBox
 from .kernels import Kernel, interaction_field
 
 
@@ -55,6 +50,7 @@ class MassBand:
     """
 
     params = ("x_lo", "x_hi", "vbar", "alpha", "beta", "eps")
+    positive = ("beta", "eps")  # the force divides by these
 
     @staticmethod
     def force(p, xs, vs):
@@ -87,6 +83,7 @@ class SpaceBand:
     """
 
     params = ("eps", "y0", "w0")
+    positive = ("eps",)  # the force divides by it
 
     @staticmethod
     def force(p, xs, vs):
@@ -152,10 +149,16 @@ class ControlPiece:
         xs, vs = self._frame_coords(x, v, t)
         return self._band.force(self.params, xs, vs)
 
-    def force(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[:, self.axis] = self.force_axis(x, v, t)
-        return out
+    def force(self, x: np.ndarray, v: np.ndarray, t: float, add_to=None) -> np.ndarray:
+        """Force on every velocity component, per particle.
+
+        With ``add_to`` (an (N, d) array) the force is added into it in place
+        and ``add_to`` is returned; otherwise a new array is returned.
+        """
+        if add_to is None:
+            add_to = np.zeros_like(v)
+        add_to[:, self.axis] += self.force_axis(x, v, t)
+        return add_to
 
     def in_omega(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         """Closed-box membership of each particle in the control set."""
@@ -237,6 +240,8 @@ class ControlPlan:
 
 @dataclass
 class TrajectorySample:
+    """One row of a trajectory's samples, built on access from its columns."""
+
     t: float
     metrics: FlockingMetrics
     box: SupportBox
@@ -247,32 +252,197 @@ class TrajectorySample:
     ensemble: Ensemble | None = None
 
 
-@dataclass
-class Trajectory:
-    samples: list
-    final: Ensemble
+class SampleColumns(NamedTuple):
+    """Recorded samples, one array per quantity and one row per sample.
 
-    def __post_init__(self):
-        times = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+    The box columns are ``ensemble.support_box`` of the sampled state and the
+    metric columns ``ensemble.flocking_metrics``, computed with the same numpy
+    expressions.  ``mass``, ``area`` and ``u_sup`` audit the control piece
+    active at the sample (plan index ``piece``; -1 and zeros when none acts).
+    """
+
+    t: np.ndarray  # (S,) sample times
+    Y: np.ndarray  # (S, d) spatial extents of the support box
+    W: np.ndarray  # (S, d) velocity extents
+    x_shift: np.ndarray  # (S, d) lower corner of the box in x
+    v_shift: np.ndarray  # (S, d) lower corner of the box in v
+    xbar: np.ndarray  # (S, d)
+    vbar: np.ndarray  # (S, d)
+    X: np.ndarray  # (S,) spatial radius around xbar
+    V: np.ndarray  # (S,) velocity radius around vbar
+    Lambda: np.ndarray  # (S,) velocity variance around vbar
+    mass: np.ndarray  # (S,) mass in the control set
+    area: np.ndarray  # (S,) area of the control set
+    u_sup: np.ndarray  # (S,) sup |u| over the particles
+    piece: np.ndarray  # (S,) int
+
+
+_VECTOR_COLUMNS = frozenset({"Y", "W", "x_shift", "v_shift", "xbar", "vbar"})
+
+
+def _empty_columns(d: int, rows: int) -> SampleColumns:
+    return SampleColumns(*(
+        np.empty(rows, dtype=int) if name == "piece"
+        else np.empty((rows, d) if name in _VECTOR_COLUMNS else rows)
+        for name in SampleColumns._fields
+    ))
+
+
+class SampleStore:
+    """SampleColumns under construction: preallocated arrays that double when full.
+
+    ``record`` appends the sample of a raw (x, v, w) state and ``append`` the
+    rows of a later trajectory, so a synthesis that shares one store pays
+    time linear in its samples.  ``trajectory`` hands out the rows so far;
+    rows once written never change.
+    """
+
+    def __init__(self, d: int, keep_ensembles: bool = False):
+        self.n = 0
+        self._cols = _empty_columns(d, 16)
+        self.ensembles = [] if keep_ensembles else None
+
+    def _reserve(self, rows: int) -> SampleColumns:
+        cap = self._cols.t.shape[0]
+        if self.n + rows > cap:
+            grown = _empty_columns(self._cols.Y.shape[1], max(2 * cap, self.n + rows))
+            for new, old in zip(grown, self._cols):
+                new[: self.n] = old[: self.n]
+            self._cols = grown
+        return self._cols
+
+    def record(self, t, x, v, w, piece, piece_idx):
+        """Append the sample of state (x, v, w) at time t, audited against ``piece``.
+
+        Returns ``piece.force_axis(x, v, t)`` (None without a piece): an RK4
+        step of the same piece that starts from this state uses it as its
+        first stage.
+        """
+        c = self._reserve(1)
+        i = self.n
+        xbar = w @ x
+        vbar = w @ v
+        dx = x - xbar[None, :]
+        dv = v - vbar[None, :]
+        dv2 = np.einsum("ij,ij->i", dv, dv)
+        x_lo = x.min(axis=0)
+        v_lo = v.min(axis=0)
+        c.t[i] = t
+        c.Y[i] = x.max(axis=0) - x_lo
+        c.W[i] = v.max(axis=0) - v_lo
+        c.x_shift[i] = x_lo
+        c.v_shift[i] = v_lo
+        c.xbar[i] = xbar
+        c.vbar[i] = vbar
+        c.X[i] = np.sqrt(np.einsum("ij,ij->i", dx, dx)).max()
+        c.V[i] = np.sqrt(dv2).max()
+        c.Lambda[i] = w @ dv2
+        c.piece[i] = piece_idx
+        u = None
+        if piece is None:
+            c.mass[i] = c.area[i] = c.u_sup[i] = 0.0
+        else:
+            u = piece.force_axis(x, v, t)
+            c.mass[i] = w[piece.in_omega(x, v, t)].sum()
+            c.area[i] = piece.omega_volume()
+            c.u_sup[i] = np.abs(u).max()
+        if self.ensembles is not None:
+            self.ensembles.append(Ensemble(x=x.copy(), v=v.copy(), w=w))
+        self.n = i + 1
+        return u
+
+    def append(self, traj: "Trajectory") -> None:
+        """Append a later trajectory's rows, dropping a first one that repeats the last."""
+        src = traj.columns
+        skip = int(self.n > 0 and src.t.size > 0 and src.t[0] <= self._cols.t[self.n - 1] + 1e-12)
+        rows = src.t.size - skip
+        c = self._reserve(rows)
+        for dst, col in zip(c, src):
+            dst[self.n : self.n + rows] = col[skip:]
+        if self.ensembles is not None:
+            self.ensembles.extend(traj.ensembles[skip:])
+        self.n += rows
+
+    def trajectory(self, final: Ensemble) -> "Trajectory":
+        """The rows recorded so far, as a Trajectory that ends in ``final``."""
+        views = []
+        for col in self._cols:
+            view = col[: self.n]
+            view.flags.writeable = False
+            views.append(view)
+        ensembles = None if self.ensembles is None else list(self.ensembles)
+        return Trajectory(SampleColumns(*views), final, ensembles)
+
+
+class SampleRows(Sequence):
+    """Read-only sequence over SampleColumns; item i is row i as a TrajectorySample."""
+
+    def __init__(self, columns: SampleColumns, ensembles: list | None = None):
+        self._c = columns
+        self._ensembles = ensembles
+
+    def __len__(self) -> int:
+        return self._c.t.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # IndexError past either end
+        c = self._c
+        return TrajectorySample(
+            t=float(c.t[i]),
+            metrics=FlockingMetrics(
+                xbar=c.xbar[i], vbar=c.vbar[i],
+                Lambda=float(c.Lambda[i]), X=float(c.X[i]), V=float(c.V[i]),
+            ),
+            box=SupportBox(y=c.Y[i], w=c.W[i], x_shift=c.x_shift[i], v_shift=c.v_shift[i]),
+            mass_in_omega=float(c.mass[i]),
+            omega_volume=float(c.area[i]),
+            u_sup=float(c.u_sup[i]),
+            piece_index=int(c.piece[i]),
+            ensemble=None if self._ensembles is None else self._ensembles[i],
+        )
+
+
+class Trajectory:
+    """The recorded samples of a run, as read-only columns, and its final state.
+
+    ``columns`` (:class:`SampleColumns`) is what the audits and the CSV read.
+    ``samples`` shows the same values as a read-only sequence of
+    :class:`TrajectorySample` rows, built on access.  ``ensembles`` holds
+    each sample's state when the run kept them, and is None otherwise.
+    """
+
+    def __init__(self, columns: SampleColumns, final: Ensemble, ensembles: list | None = None):
+        if np.any(columns.t[1:] <= columns.t[:-1]):
             raise ValueError("sample times must be strictly increasing")
+        self.columns = columns
+        self.final = final
+        self.ensembles = ensembles
+
+    @property
+    def samples(self) -> SampleRows:
+        return SampleRows(self.columns, self.ensembles)
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return np.array(self.columns.t)
 
     def velocity_radii(self) -> np.ndarray:
-        return np.array([s.metrics.V for s in self.samples])
+        return np.array(self.columns.V)
 
     def spatial_radii(self) -> np.ndarray:
-        return np.array([s.metrics.X for s in self.samples])
+        return np.array(self.columns.X)
 
     def extend(self, other: "Trajectory") -> "Trajectory":
         """Concatenate a later trajectory, dropping its duplicated first sample."""
-        samples = list(self.samples)
-        append_samples(samples, other.samples)
-        return Trajectory(samples=samples, final=other.final)
+        keep = self.ensembles is not None and other.ensembles is not None
+        store = SampleStore(self.final.d, keep_ensembles=keep)
+        store.append(self)
+        store.append(other)
+        return store.trajectory(other.final)
 
     def to_csv(self, path) -> None:
+        c = self.columns
         d = self.final.d
         header = ["t"]
         header += [f"Y_{j}" for j in range(d)]
@@ -281,38 +451,29 @@ class Trajectory:
         header += ["X", "V", "Lambda"]
         header += [f"vbar_{j}" for j in range(d)]
         header += ["mass_in_omega", "omega_volume", "u_sup", "piece_index"]
+        # a transposed (S, d) column unpacks into its d per-axis columns
+        cols = [c.t, *c.Y.T, *c.v_shift.T, *c.W.T, c.X, c.V, c.Lambda, *c.vbar.T,
+                c.mass, c.area, c.u_sup]
+        text = [map(repr, col.tolist()) for col in cols]
+        text.append(map(str, c.piece.tolist()))
+        # the csv module's default dialect: no field holds a comma, quote or
+        # line break, so none is quoted
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for s in self.samples:
-                row = [repr(s.t)]
-                row += [repr(float(y)) for y in s.box.y]
-                row += [repr(float(av)) for av in s.box.v_shift]
-                row += [repr(float(wv)) for wv in s.box.w]
-                row += [repr(s.metrics.X), repr(s.metrics.V), repr(s.metrics.Lambda)]
-                row += [repr(float(vb)) for vb in s.metrics.vbar]
-                row += [
-                    repr(s.mass_in_omega),
-                    repr(s.omega_volume),
-                    repr(s.u_sup),
-                    str(s.piece_index),
-                ]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines([",".join(row) + "\r\n" for row in zip(*text)])
 
 
-def append_samples(samples: list, tail: list) -> None:
-    """Append a later run's samples in place, dropping a first one that repeats the last."""
-    if tail and samples and tail[0].t <= samples[-1].t + 1e-12:
-        tail = tail[1:]
-    samples.extend(tail)
+def _rhs(kernel, x, v, w, piece, t, u=None):
+    """(dx, dv) of the controlled characteristics; dx is v itself, not a copy.
 
-
-def _rhs(kernel, x, v, w, piece, t):
-    """(dx, dv) of the controlled characteristics; dx is v itself, not a copy."""
+    ``u``, when given, is ``piece.force_axis(x, v, t)`` already evaluated.
+    """
     # the field returns a fresh array, so the force goes in in place
     dv = interaction_field(kernel, x, v, w)
-    if piece is not None:
-        dv += piece.force(x, v, t)
+    if u is not None:
+        dv[:, piece.axis] += u
+    elif piece is not None:
+        piece.force(x, v, t, add_to=dv)
     return v, dv
 
 
@@ -327,16 +488,19 @@ def step_rhs(kernel: Kernel, e: Ensemble, piece: ControlPiece | None, t: float):
     return dx.copy(), dv
 
 
-def _rk4_segment(kernel, x, v, w, piece, t0, t1):
-    """Advance (x, v) from t0 to t1 in one RK4 step."""
+def _rk4_segment(kernel, x, v, w, piece, t0, t1, u0=None):
+    """Advance (x, v) from t0 to t1 in one RK4 step.
+
+    ``u0``, when given, is the first stage's force ``piece.force_axis(x, v, t0)``.
+    """
     dt = t1 - t0
-    k1x, k1v = _rhs(kernel, x, v, w, piece, t0)
+    k1x, k1v = _rhs(kernel, x, v, w, piece, t0, u0)
     k2x, k2v = _rhs(kernel, x + 0.5 * dt * k1x, v + 0.5 * dt * k1v, w, piece, t0 + 0.5 * dt)
     k3x, k3v = _rhs(kernel, x + 0.5 * dt * k2x, v + 0.5 * dt * k2v, w, piece, t0 + 0.5 * dt)
     k4x, k4v = _rhs(kernel, x + dt * k3x, v + dt * k3v, w, piece, t0 + dt)
     x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise IntegrationError("state became non-finite", t=t0 + dt, x=x, v=v)
     return x, v
 
@@ -346,17 +510,6 @@ def _default_dt_max(plan: ControlPlan) -> float:
         return 0.01
     shortest = min(p.t_end - p.t_start for p in plan.pieces)
     return min(0.01, shortest / 20.0)
-
-
-def _audit(e_arrays, plan, piece_idx, t):
-    x, v, w = e_arrays
-    if piece_idx < 0:
-        return 0.0, 0.0, 0.0
-    piece = plan.pieces[piece_idx]
-    mask = piece.in_omega(x, v, t)
-    mass = float(w[mask].sum())
-    u_sup = float(np.abs(piece.force_axis(x, v, t)).max()) if x.shape[0] else 0.0
-    return mass, piece.omega_volume(), u_sup
 
 
 def integrate(
@@ -373,8 +526,13 @@ def integrate(
 
     RK4 steps never straddle a piece boundary.  Samples are recorded at t0,
     at every piece boundary, at the end, and at every `sample_stride`-th
-    interior step.  Constraint audits (mass in omega, omega area, sup |u|)
-    are evaluated at every recorded sample against the active piece.
+    interior step.  Each sample's metrics, support box and constraint audits
+    (mass in omega, omega area, sup |u| against the active piece) go straight
+    from the raw (x, v) arrays into the columns of the returned trajectory
+    (see :class:`SampleStore`); with ``record_ensembles`` it also keeps each
+    sampled state.  The audit's force at a sample is the first stage of the
+    next RK4 step when that step stays in the same piece, so it is evaluated
+    once.
 
     When dt_max is omitted, a piece carrying its synthesis-time step hint is
     integrated with exactly that step, which makes plan replay reproduce the
@@ -396,30 +554,17 @@ def integrate(
     )
 
     x, v, w = e0.x.copy(), e0.v.copy(), e0.w
-    samples: list[TrajectorySample] = []
-
-    def record(t, piece_idx):
-        e = Ensemble(x=x.copy(), v=v.copy(), w=w)
-        mass, vol, u_sup = _audit((x, v, w), plan, piece_idx, t)
-        samples.append(
-            TrajectorySample(
-                t=t,
-                metrics=flocking_metrics(e),
-                box=support_box(e),
-                mass_in_omega=mass,
-                omega_volume=vol,
-                u_sup=u_sup,
-                piece_index=piece_idx,
-                ensemble=e if record_ensembles else None,
-            )
-        )
-
-    record(t0, plan.piece_index_at(t0))
+    store = SampleStore(e0.d, keep_ensembles=record_ensembles)
+    piece_idx = plan.piece_index_at(t0)
+    # u is the force of piece piece_idx at the current state, when an audit has it
+    u = store.record(t0, x, v, w, plan.pieces[piece_idx] if piece_idx >= 0 else None, piece_idx)
 
     # a state that overflows raises IntegrationError, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for seg_start, seg_end in zip(bounds, bounds[1:]):
-            piece_idx = plan.piece_index_at(seg_start)
+            idx = plan.piece_index_at(seg_start)
+            if idx != piece_idx:
+                piece_idx, u = idx, None  # the last audit was of another piece
             piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
             seg_dt = dt_max
             if piece is not None and piece.dt is not None:
@@ -428,15 +573,15 @@ def integrate(
             dt = (seg_end - seg_start) / nsteps
             for k in range(nsteps):
                 x, v = _rk4_segment(
-                    kernel, x, v, w, piece, seg_start + k * dt, seg_start + (k + 1) * dt
+                    kernel, x, v, w, piece, seg_start + k * dt, seg_start + (k + 1) * dt, u
                 )
-                t_now = seg_end if k == nsteps - 1 else seg_start + (k + 1) * dt
+                u = None
                 if k == nsteps - 1 or (k + 1) % sample_stride == 0:
+                    t_now = seg_end if k == nsteps - 1 else seg_start + (k + 1) * dt
                     # audit against the piece governing the step just taken
-                    record(t_now, piece_idx)
+                    u = store.record(t_now, x, v, w, piece, piece_idx)
 
-    final = Ensemble(x=x, v=v, w=w)
-    return Trajectory(samples=samples, final=final)
+    return store.trajectory(Ensemble(x=x, v=v, w=w))
 
 
 def finite_dim_integrate(
@@ -468,19 +613,15 @@ def decay_rate_estimate(traj: Trajectory, t_from: float = 0.0) -> float:
     Least-squares slope of log V(t) over samples with t >= t_from; returns 0
     when V has already collapsed below 1e-14 at the start of the window.
     """
-    ts, vs = [], []
-    for s in traj.samples:
-        if s.t >= t_from - 1e-12:
-            ts.append(s.t)
-            vs.append(s.metrics.V)
-    if not ts:
+    c = traj.columns
+    window = c.t >= t_from - 1e-12
+    ts, vs = c.t[window], c.V[window]
+    if not ts.size:
         raise ValueError("no samples at or after t_from")
     if vs[0] < 1e-14:
         return 0.0
-    pts = [(t, v) for t, v in zip(ts, vs) if v > 1e-14]
-    if len(pts) < 3:
+    positive = vs > 1e-14
+    if np.count_nonzero(positive) < 3:
         raise ValueError("need at least 3 samples with positive V after t_from")
-    tt = np.array([p[0] for p in pts])
-    logv = np.log(np.array([p[1] for p in pts]))
-    slope = np.polyfit(tt, logv, 1)[0]
+    slope = np.polyfit(ts[positive], np.log(vs[positive]), 1)[0]
     return float(-slope)

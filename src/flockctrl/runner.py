@@ -88,12 +88,14 @@ class Scenario:
     safety_factor: float = 0.99
     step_budget: int = 100_000
     out: str | None = None
+    # the initial measure validate_config built; integrate never writes into it
+    ensemble: Ensemble | None = field(default=None, repr=False, compare=False)
 
     def build_kernel(self) -> Kernel:
         return kernel_from_dict(self.kernel)
 
     def build_ensemble(self) -> Ensemble:
-        return _build_initial(self.initial)
+        return self.ensemble if self.ensemble is not None else _build_initial(self.initial)
 
 
 def _build_initial(spec: dict) -> Ensemble:
@@ -144,9 +146,28 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _out_problem(out: str) -> str | None:
+    """Why the output directory ``out`` cannot be created, or None if it can."""
+    if not out or "\0" in out:
+        return f"out {out!r} is not a directory name"
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        return f"out {out!r} cannot be created: {path} is not a directory"
+    if not os.access(path, os.W_OK | os.X_OK):
+        return f"out {out!r} cannot be created: {path} is not writable"
+    return None
+
+
 def validate_config(raw: str) -> Scenario:
-    """Parse and validate a JSON scenario, applying documented defaults."""
+    """Parse and validate a JSON scenario, applying documented defaults.
+
+    The initial measure is built here once and kept on the Scenario, and the
+    output directory is checked to be creatable, so neither fails after a run.
+    """
     errors = []
+    e = None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -223,8 +244,11 @@ def validate_config(raw: str) -> Scenario:
     eta = doc.get("eta")
     if eta is not None and (not _is_number(eta) or eta <= 0):
         errors.append("eta must be a positive finite number")
-    if doc.get("out") is not None and not isinstance(doc["out"], str):
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
         errors.append("out must be a string naming a directory")
+    elif out is not None and (problem := _out_problem(out)):
+        errors.append(problem)
 
     if errors:
         raise ConfigError(errors)
@@ -240,7 +264,8 @@ def validate_config(raw: str) -> Scenario:
         post_horizon=float(doc.get("post_horizon", 10.0)),
         safety_factor=float(sf),
         step_budget=budget,
-        out=doc.get("out"),
+        out=out,
+        ensemble=e,
     )
 
 
@@ -276,12 +301,14 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     judges the final state by the covering-box certificate.
 
     Returns (RunSummary, Trajectory, ControlPlan).  Raises ConfigError for
-    invalid late-bound settings and StrategyFailure when a synthesis loop or
-    a flight fails.  The artifacts are written only after a run completes, so
-    a failed run leaves none, not even the output directory.
+    invalid late-bound settings (before any step) and StrategyFailure when a
+    synthesis loop or a flight fails.  The artifacts are written only after a
+    run completes, so a failed run leaves none, not even the output directory.
     """
     t_wall = time.perf_counter()
     out = out_dir or s.out
+    if out is not None and (problem := _out_problem(out)):
+        raise ConfigError([problem])
     kernel = s.build_kernel()
     e0 = s.build_ensemble()
     if e0.d != s.dimension:
@@ -314,11 +341,10 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
         raise StrategyFailure(str(exc)) from exc
 
     control_off = plan.t_end
-    lam_off = next(
-        (x.metrics.Lambda for x in traj.samples if x.t >= control_off - 1e-12),
-        traj.samples[-1].metrics.Lambda,
-    )
-    lam_final = traj.samples[-1].metrics.Lambda
+    cols = traj.columns
+    off = np.flatnonzero(cols.t >= control_off - 1e-12)
+    lam_off = float(cols.Lambda[off[0] if off.size else -1])
+    lam_final = float(cols.Lambda[-1])
     try:
         decay = decay_rate_estimate(traj, t_from=control_off)
     except ValueError:
@@ -380,7 +406,8 @@ def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
 
     Each piece needs finite numbers for its times and frame, a positive
     duration, an integer axis below ``dimension``, a known kind, and exactly
-    that kind's parameters as finite numbers; ``dt`` may be null or positive.
+    that kind's parameters as finite numbers, positive where the kind says
+    so; ``dt`` may be null or positive.
     """
     if not isinstance(plan_doc, dict):
         raise ConfigError(["plan document must be an object"])
@@ -411,6 +438,8 @@ def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
             and all(_is_number(x) for x in p["params"].values())
         ):
             problem = f"params must be finite numbers named {sorted(BANDS[p['kind']].params)}"
+        elif not all(p["params"][k] > 0 for k in BANDS[p["kind"]].positive):
+            problem = f"params {', '.join(BANDS[p['kind']].positive)} must be positive"
         else:
             continue
         raise ConfigError([f"plan piece {i}: {problem}"])

@@ -10,6 +10,7 @@ from flockctrl import (
     ControlPlan,
     Ensemble,
     PowerLawKernel,
+    SampleColumns,
     Trajectory,
     TrajectorySample,
     decay_rate_estimate,
@@ -20,8 +21,7 @@ from flockctrl import (
     support_box,
     uniform_box_ensemble,
 )
-from flockctrl.dynamics import TrajectorySample
-from flockctrl.ensemble import FlockingMetrics, SupportBox
+from flockctrl.dynamics import SampleStore
 
 
 def _mass_piece(t0=0.0, t1=1.0, x_shift=0.0, v_shift=0.0, **overrides):
@@ -226,8 +226,8 @@ class TestIntegrate:
         dt = 0.002
         traj = integrate(k, e, plan, 0.2, dt_max=dt, record_ensembles=True)
         samples = traj.samples
-        for a, b in zip(samples[:-2:10], samples[2::10]):
-            mid = samples[samples.index(a) + 1]
+        for i in range(0, len(samples) - 2, 10):
+            a, mid, b = samples[i], samples[i + 1], samples[i + 2]
             fd = (b.metrics.vbar[0] - a.metrics.vbar[0]) / (b.t - a.t)
             force = piece.force(mid.ensemble.x, mid.ensemble.v, mid.t)
             inst = float(mid.ensemble.w @ force[:, 0])
@@ -249,19 +249,16 @@ class TestFiniteDimIntegrate:
 
 
 def _synthetic_traj(ts, vs):
-    samples = []
-    d = 1
-    for t, V in zip(ts, vs):
-        m = FlockingMetrics(
-            xbar=np.zeros(d), vbar=np.zeros(d), Lambda=V * V, X=0.0, V=V
-        )
-        box = SupportBox(y=np.zeros(d), w=np.full(d, 2 * V),
-                         x_shift=np.zeros(d), v_shift=np.zeros(d))
-        samples.append(TrajectorySample(t=t, metrics=m, box=box,
-                                        mass_in_omega=0.0, omega_volume=0.0,
-                                        u_sup=0.0, piece_index=-1))
+    ts = np.asarray(ts, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    zeros, axis_zeros = np.zeros(ts.size), np.zeros((ts.size, 1))
+    columns = SampleColumns(
+        t=ts, Y=axis_zeros, W=2.0 * vs[:, None], x_shift=axis_zeros, v_shift=axis_zeros,
+        xbar=axis_zeros, vbar=axis_zeros, X=zeros, V=vs, Lambda=vs * vs,
+        mass=zeros, area=zeros, u_sup=zeros, piece=np.full(ts.size, -1),
+    )
     final = Ensemble.from_points([0.0], [0.0])
-    return Trajectory(samples=samples, final=final)
+    return Trajectory(columns, final)
 
 
 class TestDecayRate:
@@ -279,3 +276,115 @@ class TestDecayRate:
         traj = _synthetic_traj([0.0, 1.0], [1.0, 0.5])
         with pytest.raises(ValueError):
             decay_rate_estimate(traj)
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _column_case(name):
+    """(ensemble, plan, horizon): a 2-D mass-band plan, a space-band plan, no plan."""
+    if name == "mass_band":
+        e = uniform_box_ensemble(30, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], seed=11)
+        params = {"x_lo": -0.5, "x_hi": 1.5, "alpha": 0.1, "beta": 0.1, "eps": 0.2}
+        pieces = tuple(
+            ControlPiece(t_start=a, t_end=b, kind="mass_band", axis=1, t_ref=0.0,
+                         x_shift=0.0, v_shift=0.0, params=dict(params, vbar=vbar))
+            for a, b, vbar in ((0.0, 0.07, 0.5), (0.07, 0.15, 0.45))
+        )
+        return e, ControlPlan(pieces=pieces), 0.2
+    e = uniform_box_ensemble(30, 0.0, 1.0, 0.0, 1.0, seed=12)
+    if name == "space_band":
+        piece = ControlPiece(t_start=0.0, t_end=0.13, kind="space_band", axis=0, t_ref=0.0,
+                             x_shift=0.0, v_shift=0.0,
+                             params={"eps": 0.1, "y0": 1.0, "w0": 0.9})
+        return e, ControlPlan(pieces=(piece,)), 0.2
+    return e, ControlPlan(), 0.2
+
+
+COLUMN_CASES = ["mass_band", "space_band", "empty"]
+
+
+class TestSampleColumns:
+    @pytest.mark.parametrize("case", COLUMN_CASES)
+    def test_rows_match_recomputation_on_each_sample(self, case):
+        e, plan, horizon = _column_case(case)
+        traj = integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.01,
+                         record_ensembles=True)
+        times = traj.times()
+        assert len(traj.samples) > 16  # the store grew past its first allocation
+        for i, row in enumerate(traj.samples):
+            s = row.ensemble
+            m, box = flocking_metrics(s), support_box(s)
+            assert _bits(row.t, row.metrics.X, row.metrics.V, row.metrics.Lambda,
+                         row.metrics.xbar, row.metrics.vbar) == _bits(
+                times[i], m.X, m.V, m.Lambda, m.xbar, m.vbar)
+            assert _bits(row.box.y, row.box.w, row.box.x_shift, row.box.v_shift) == _bits(
+                box.y, box.w, box.x_shift, box.v_shift)
+            # a sample is audited against the piece of the step that led to it
+            idx = plan.piece_index_at(times[max(i - 1, 0)])
+            assert row.piece_index == idx
+            if idx < 0:
+                audit = (0.0, 0.0, 0.0)
+            else:
+                piece = plan.pieces[idx]
+                audit = (
+                    float(s.w[piece.in_omega(s.x, s.v, row.t)].sum()),
+                    piece.omega_volume(),
+                    float(np.abs(piece.force_axis(s.x, s.v, row.t)).max()),
+                )
+            assert _bits(row.mass_in_omega, row.omega_volume, row.u_sup) == _bits(*audit)
+        if plan.pieces:
+            assert traj.columns.u_sup.max() > 0.0 and traj.columns.mass.max() > 0.0
+
+    @pytest.mark.parametrize("case", COLUMN_CASES)
+    def test_shared_force_leaves_the_state_unchanged(self, case, monkeypatch):
+        # strides change which first RK4 stages reuse an audit's force
+        e, plan, horizon = _column_case(case)
+
+        def final(stride):
+            return integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.01,
+                             sample_stride=stride).final
+
+        finals = [final(stride) for stride in (1, 3, 7)]
+        record = SampleStore.record
+
+        def record_without_sharing(self, *args):
+            record(self, *args)  # the next step evaluates its first stage itself
+
+        monkeypatch.setattr(SampleStore, "record", record_without_sharing)
+        reference = final(1)
+        for f in finals:
+            assert _bits(f.x, f.v) == _bits(reference.x, reference.v)
+
+    def test_samples_are_a_read_only_sequence(self):
+        e, plan, horizon = _column_case("space_band")
+        traj = integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.01)
+        rows = traj.samples
+        assert len(rows) == traj.columns.t.size
+        assert all(isinstance(r, TrajectorySample) for r in rows)
+        assert [r.t for r in rows] == traj.times().tolist()
+        assert rows[-1].t == rows[len(rows) - 1].t == traj.columns.t[-1]
+        assert [r.t for r in rows[::5]] == traj.times()[::5].tolist()
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(TypeError):
+            rows[0] = rows[1]
+        with pytest.raises(AttributeError):
+            traj.samples = []
+        with pytest.raises(ValueError):
+            traj.columns.W[0, 0] = 0.0
+
+    def test_extend_drops_the_repeated_first_sample(self):
+        k = PowerLawKernel(1.0, 1.0)
+        e, plan, horizon = _column_case("space_band")
+        a = integrate(k, e, plan, horizon, dt_max=0.01, record_ensembles=True)
+        b = integrate(k, a.final, ControlPlan(), 0.3, dt_max=0.01, t0=a.times()[-1],
+                      record_ensembles=True)
+        joined = a.extend(b)
+        assert len(joined.samples) == len(a.samples) + len(b.samples) - 1
+        for name, col in zip(joined.columns._fields, joined.columns):
+            expected = np.concatenate([getattr(a.columns, name), getattr(b.columns, name)[1:]])
+            assert _bits(col) == _bits(expected), name
+        assert joined.ensembles == a.ensembles + b.ensembles[1:]
+        assert joined.final is b.final

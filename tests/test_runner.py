@@ -153,6 +153,35 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="out must be a string"):
             _scenario(dict(MINIMAL, out=5))
 
+    def test_out_under_a_regular_file_rejected(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(ConfigError, match="not a directory"):
+            _scenario(dict(MINIMAL, out=str(blocker / "deeper" / "out")))
+        s = _scenario(MINIMAL)
+        with pytest.raises(ConfigError, match="not a directory"):
+            run_scenario(s, out_dir=str(blocker))
+        assert _scenario(dict(MINIMAL, out=str(tmp_path / "new" / "out"))).out
+        for name in ("", "a\0b"):
+            with pytest.raises(ConfigError, match="not a directory name"):
+                _scenario(dict(MINIMAL, out=name))
+
+    def test_initial_measure_is_built_once(self, monkeypatch):
+        from flockctrl import runner
+
+        built = []
+        build = runner._build_initial
+
+        def counting(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(runner, "_build_initial", counting)
+        s = _scenario(MINIMAL)
+        assert s.build_ensemble() is s.build_ensemble()
+        run_scenario(s)
+        assert len(built) == 1
+
 
 class TestRunScenario:
     def test_mode_none_in_region(self, tmp_path):
@@ -348,12 +377,14 @@ class TestCli:
             json.dumps(_plan_doc(dt=-0.1)),
             json.dumps(_plan_doc(params={"eps": 0.1, "y0": 1.0, "w0": 1.0})),
             json.dumps(_plan_doc(params=dict(GOOD_PIECE["params"], beta=float("inf")))),
+            json.dumps(_plan_doc(params=dict(GOOD_PIECE["params"], eps=0.0, beta=0.0))),
+            json.dumps(_plan_doc(kind="space_band", params={"eps": -0.1, "y0": 1.0, "w0": 1.0})),
         ],
         ids=[
             "missing_file", "bad_json", "not_an_object", "no_plan", "no_t_end",
             "nan_t_start", "string_x_shift", "unknown_kind", "zero_duration",
             "axis_past_dimension", "float_axis", "negative_dt", "wrong_params",
-            "infinite_param",
+            "infinite_param", "zero_eps_and_beta", "negative_space_eps",
         ],
     )
     def test_exit_two_on_bad_replay_plan(self, tmp_path, capsys, plan_text):
@@ -363,6 +394,34 @@ class TestCli:
             plan.write_text(plan_text)
         assert cli_main(["--config", cfg, "--replay", str(plan)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["run", "replay"])
+    def test_exit_two_on_uncreatable_out_before_any_step(
+        self, tmp_path, capsys, monkeypatch, replay
+    ):
+        from flockctrl import dynamics
+
+        steps = []
+        rk4 = dynamics._rk4_segment
+
+        def counting(*args):
+            steps.append(args[5])
+            return rk4(*args)
+
+        monkeypatch.setattr(dynamics, "_rk4_segment", counting)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        doc = dict(MASS_SMALL, out=str(blocker / "out"))
+        argv = ["--config", self._write_config(tmp_path, doc)]
+        if replay:
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(_plan_doc()))
+            argv += ["--replay", str(plan)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and "not a directory" in err
+        assert "Traceback" not in err
+        assert steps == []
 
     def test_good_replay_plan_probe_runs(self, tmp_path):
         cfg = self._write_config(tmp_path, dict(MASS_SMALL, post_horizon=0.0))
