@@ -41,7 +41,9 @@ class AlreadyFlockedSignal(Exception):
 
 
 class DegenerateMeasureError(ValueError):
-    """An atom is too heavy for the budget: no positive widening exists."""
+    """No synthesis applies: an atom is too heavy for the budget, so no positive
+    widening exists, or eta is not positive, as when the certified threshold of
+    a wide support underflows to 0."""
 
 
 class StrategyBudgetError(RuntimeError):
@@ -347,8 +349,8 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
     axis regrows above eta, total control time <= time_bound, spatial extent
     on axis 0 <= spread_bound.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not eta > 0.0:
+        raise DegenerateMeasureError(f"eta must be positive, not {eta}")
     records: list[StepRecord] = []
     pieces: list[ControlPiece] = []
     store = SampleStore(e0.d)

@@ -211,6 +211,7 @@ class ControlPlan:
             if b.t_start > a.t_end + 1e-9:
                 raise ValueError("control pieces leave a gap in time")
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_starts", [p.t_start for p in pieces])
 
     @property
     def t_end(self) -> float:
@@ -221,8 +222,7 @@ class ControlPlan:
 
     def piece_index_at(self, t: float) -> int:
         """Index of the piece active at t, or -1 (pieces own [t_start, t_end))."""
-        starts = [p.t_start for p in self.pieces]
-        i = bisect.bisect_right(starts, t) - 1
+        i = bisect.bisect_right(self._starts, t) - 1
         if i >= 0 and t < self.pieces[i].t_end - 1e-12:
             return i
         return -1

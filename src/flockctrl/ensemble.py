@@ -55,6 +55,8 @@ class Ensemble:
     def from_points(cls, x, v, w=None) -> "Ensemble":
         """Build from coordinate arrays; 1-d inputs are N particles in d=1."""
         x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] == 0:
+            raise ValueError("positions must be a nonempty list of points")
         if x.ndim == 1:
             x = x[:, None]
         v = np.asarray(v, dtype=float).reshape(x.shape)
@@ -198,11 +200,19 @@ def wasserstein1_1d(e1: Ensemble, e2: Ensemble, coord: str = "x", axis: int = 0)
         raise ValueError("coord must be 'x' or 'v'")
     if axis >= e1.d or axis >= e2.d:
         raise ValueError("axis out of range for the ensembles")
-    from scipy.stats import wasserstein_distance
-
     a = (e1.x if coord == "x" else e1.v)[:, axis]
     b = (e2.x if coord == "x" else e2.v)[:, axis]
-    return float(wasserstein_distance(a, b, u_weights=e1.w, v_weights=e2.w))
+    # W1 = int |F_1(t) - F_2(t)| dt; both CDFs are constant between the
+    # pooled sorted points, so the integral is a sum over their gaps
+    grid = np.sort(np.concatenate([a, b]))
+    return float(np.abs(_cdf(a, e1.w, grid[:-1]) - _cdf(b, e2.w, grid[:-1])) @ np.diff(grid))
+
+
+def _cdf(values: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Weighted empirical CDF of values at the points t (right-continuous)."""
+    order = np.argsort(values)
+    cum = np.concatenate(([0.0], np.cumsum(weights[order])))
+    return cum[np.searchsorted(values[order], t, side="right")] / cum[-1]
 
 
 def uniform_box_ensemble(
@@ -218,6 +228,8 @@ def uniform_box_ensemble(
     x_high = np.atleast_1d(np.asarray(x_high, dtype=float))
     v_low = np.atleast_1d(np.asarray(v_low, dtype=float))
     v_high = np.atleast_1d(np.asarray(v_high, dtype=float))
+    if not all(np.all(np.isfinite(b)) for b in (x_low, x_high, v_low, v_high)):
+        raise ValueError("box bounds must be finite")
     rng = np.random.default_rng(seed)
     d = x_low.size
     x = rng.uniform(x_low, x_high, size=(n, d))

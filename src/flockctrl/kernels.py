@@ -20,6 +20,8 @@ _FIELD_BLOCK = 64
 # longest stretch of lam * x summed against one reference point in the
 # exponential field on the line: exp(350) ~ 1e152 stays finite in doubles
 _EXP_SEGMENT = 350.0
+# the order _sorted_line last returned; any permutation of range(n) will do
+_SORT_HINT = np.empty(0, dtype=np.intp)
 
 
 def _check_radius(r):
@@ -275,10 +277,10 @@ def _exponential_field_1d(kernel: ExponentialKernel, x, v, w) -> np.ndarray:
 
     With the particles sorted by position, row i needs the left sum
     sum_{j <= i} e^{-lam (x_i - x_j)} rhs_j and the right sum
-    sum_{j > i} e^{-lam (x_j - x_i)} rhs_j, rhs = [w v | w].  Scaled by
+    sum_{j > i} e^{-lam (x_j - x_i)} rhs_j, rhs = [w v ; w].  Scaled by
     e^{+-lam (x_j - r)} against a reference point r, each is one cumulative
-    sum.  The sorted line is cut into segments of lam-scaled span at most
-    _EXP_SEGMENT, each with its own r, so no exponential overflows; a
+    sum along a row.  The sorted line is cut into segments of lam-scaled span
+    at most _EXP_SEGMENT, each with its own r, so no exponential overflows; a
     segment's total passes to the next one times e^{-lam gap} <= 1.  The
     exponents are taken from differences x_j - r, which keeps them as exact
     as the dense path's far from the origin.  The pair j = i and tied
@@ -286,12 +288,11 @@ def _exponential_field_1d(kernel: ExponentialKernel, x, v, w) -> np.ndarray:
     """
     n = x.shape[0]
     lam = kernel.lam
-    order = np.argsort(x[:, 0], kind="stable")
-    xs = x[order, 0]
-    vs = v[order, 0]
-    rhs = np.empty((n, 2))
-    rhs[:, 1] = w[order]
-    np.multiply(rhs[:, 1], vs, out=rhs[:, 0])
+    order, xs = _sorted_line(x[:, 0])
+    vs = v[:, 0][order]
+    rhs = np.empty((2, n))
+    rhs[1] = w[order]
+    np.multiply(rhs[1], vs, out=rhs[0])
     # segment edges; a NaN sorts last, where searchsorted returns n
     edges = [0]
     while edges[-1] < n:
@@ -299,40 +300,68 @@ def _exponential_field_1d(kernel: ExponentialKernel, x, v, w) -> np.ndarray:
         edges.append(int(np.searchsorted(xs, reach, side="right")))
     segments = list(zip(edges, edges[1:]))
 
-    acc = np.empty((n, 2))
+    acc = np.empty((2, n))
+    buf = np.empty((2, n))
     # left sums, reference at each segment's first point
-    carry = np.zeros(2)
+    carry = np.zeros((2, 1))
     for s, e in segments:
         r = xs[s]
         if s:
             carry *= np.exp(-lam * (r - r_prev))
-        scale = np.exp(lam * (xs[s:e] - r))[:, None]
-        part = acc[s:e]
-        np.cumsum(rhs[s:e] * scale, axis=0, out=part)
+        scale = np.exp(lam * (xs[s:e] - r))
+        part = acc[:, s:e]
+        np.multiply(rhs[:, s:e], scale, out=buf[:, s:e])
+        np.cumsum(buf[:, s:e], axis=1, out=part)
         part += carry
-        carry = part[-1].copy()
+        carry = part[:, -1:].copy()
         part /= scale
         r_prev = r
     # right sums, reference at each segment's last point
-    carry = np.zeros(2)
+    carry = np.zeros((2, 1))
     for s, e in reversed(segments):
         r = xs[e - 1]
         if e < n:
             carry *= np.exp(-lam * (r_next - r))
-        scale = np.exp(lam * (r - xs[s:e]))[:, None]
-        part = np.cumsum((rhs[s:e] * scale)[::-1], axis=0)[::-1]
+        scale = np.exp(lam * (r - xs[s:e]))
+        right = buf[:, s:e]
+        np.multiply(rhs[:, s:e], scale, out=right)
+        np.cumsum(right[:, ::-1], axis=1, out=right[:, ::-1])
+        total = right[:, :1].copy()
         # row i takes the terms j > i: the entry after it, plus the carry
-        right = np.empty_like(part)
-        right[:-1] = part[1:]
-        right[-1] = 0.0
+        right[:, :-1] = right[:, 1:]
+        right[:, -1] = 0.0
         right += carry
-        carry += part[0]
+        carry += total
         right /= scale
-        acc[s:e] += right
+        acc[:, s:e] += right
         r_next = r
-    out = np.empty((n, 1))
-    out[order, 0] = kernel.K * (acc[:, 0] - acc[:, 1] * vs)
-    return out
+    out = np.empty(n)
+    out[order] = kernel.K * (acc[0] - acc[1] * vs)
+    return out[:, None]
+
+
+def _sorted_line(x0: np.ndarray):
+    """(order, x0[order]) for order = np.argsort(x0, kind="stable").
+
+    Positions barely move between calls, so x0 taken in the order the last
+    call returned (_SORT_HINT) is nearly sorted, and its stable sort is
+    cheap.  That order is only a hint: the re-sorted one is taken only when
+    tied positions (and NaNs, which sort last) come out in increasing index
+    order, which makes it the stable argsort itself; else x0 is sorted from
+    scratch.  A hint of another size, or a stale one, costs time and never
+    changes the result.
+    """
+    global _SORT_HINT
+    hint = _SORT_HINT
+    if hint.shape == x0.shape:
+        order = hint[np.argsort(x0[hint], kind="stable")]
+        xs = x0[order]
+        if ((xs[1:] > xs[:-1]) | (order[1:] > order[:-1])).all():
+            _SORT_HINT = order
+            return order, xs
+    order = np.argsort(x0, kind="stable")
+    _SORT_HINT = order
+    return order, x0[order]
 
 
 def inward_radii(kernel: Kernel, X: float, a_k: float, W_k: float, vbar_k: float):

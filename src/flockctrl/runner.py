@@ -200,7 +200,8 @@ def validate_config(raw: str) -> Scenario:
             errors.append(f"bad kernel spec: {exc}")
 
     initial = doc.get("initial")
-    if not isinstance(initial, dict) or initial.get("kind") not in _INITIAL_KEYS:
+    if not isinstance(initial, dict) or not isinstance(initial.get("kind"), str) \
+            or initial["kind"] not in _INITIAL_KEYS:
         errors.append(
             "initial measure spec with kind in "
             f"{sorted(_INITIAL_KEYS)} is required"
@@ -211,8 +212,11 @@ def validate_config(raw: str) -> Scenario:
         if bad:
             errors.append(f"unknown initial-measure keys: {sorted(bad)}")
         n = initial.get("particles")
+        seed = initial.get("seed", 0)
         if initial["kind"] == "uniform_box" and (not _is_integer(n) or n < 1):
             errors.append("initial.particles must be a positive integer")
+        elif initial["kind"] == "uniform_box" and (not _is_integer(seed) or seed < 0):
+            errors.append("initial.seed must be a nonnegative integer")
         else:
             # built here once, so that its own complaints are config errors
             try:
@@ -228,12 +232,15 @@ def validate_config(raw: str) -> Scenario:
         errors.append("c must be a finite number")
     elif mode != "none" and (c is None or c <= 0):
         errors.append("budget must be positive when mode is not 'none'")
+    elif mode == "mass" and c > 2:
+        # columns hold mass c/2 each, and the total mass is 1
+        errors.append("mass budget c must be at most 2")
     dt_max = doc.get("dt_max")
     if dt_max is not None and (not _is_number(dt_max) or dt_max <= 0):
         errors.append("dt_max must be a positive finite number")
     for key in ("horizon", "post_horizon"):
         val = doc.get(key)
-        if val is not None and (not _is_number(val) or val < 0):
+        if key in doc and (not _is_number(val) or val < 0):
             errors.append(f"{key} must be a nonnegative finite number")
     sf = doc.get("safety_factor", 0.99)
     if not _is_number(sf) or not 0 < sf <= 1:

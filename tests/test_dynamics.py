@@ -106,6 +106,23 @@ class TestControlPlan:
         assert plan.piece_index_at(2.5) == -1  # zero control after the plan
         assert plan.total_control_time() == pytest.approx(2.0)
 
+    def test_piece_lookup_matches_a_linear_scan(self):
+        rng = np.random.default_rng(8)
+        ends = np.cumsum(rng.uniform(1e-3, 1.0, 3000))
+        starts = np.concatenate(([0.0], ends[:-1]))
+        # some joins off by less than the overlap tolerance, either way
+        starts[1::7] += rng.uniform(-5e-10, 5e-10, starts[1::7].size)
+        plan = ControlPlan(pieces=tuple(_mass_piece(a, b) for a, b in zip(starts, ends)))
+
+        def scan(t):
+            i = np.flatnonzero(starts <= t)
+            return int(i[-1]) if i.size and t < ends[i[-1]] - 1e-12 else -1
+
+        queries = np.concatenate([starts, 0.5 * (starts + ends), ends, ends[-1] + [1e-9, 1.0]])
+        for t in queries:
+            assert plan.piece_index_at(t) == scan(t)
+        assert plan.piece_index_at(-1.0) == -1
+
     def test_round_trip(self):
         plan = ControlPlan(pieces=(_mass_piece(0.0, 1.0),))
         assert ControlPlan.from_dict(plan.to_dict()) == plan

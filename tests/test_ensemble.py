@@ -211,6 +211,31 @@ class TestWasserstein:
         assert dac <= dab + dbc + 1e-10
 
 
+    @given(s1=st.integers(0, 500), s2=st.integers(0, 500), coord=st.sampled_from(["x", "v"]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scipy(self, s1, s2, coord):
+        # scipy serves only as an oracle here
+        from scipy.stats import wasserstein_distance
+
+        a, b = _random_ensemble(s1, d=2), _random_ensemble(s2, d=2)
+        for axis in (0, 1):
+            pa = (a.x if coord == "x" else a.v)[:, axis]
+            pb = (b.x if coord == "x" else b.v)[:, axis]
+            ref = wasserstein_distance(pa, pb, u_weights=a.w, v_weights=b.w)
+            assert abs(wasserstein1_1d(a, b, coord, axis) - ref) <= 1e-12
+
+    def test_tied_points_match_scipy(self):
+        from scipy.stats import wasserstein_distance
+
+        rng = np.random.default_rng(5)
+        pa, pb = rng.integers(0, 4, 30).astype(float), rng.integers(1, 6, 20).astype(float)
+        wa, wb = rng.random(30) + 0.1, rng.random(20) + 0.1
+        a = Ensemble(x=pa[:, None], v=np.zeros((30, 1)), w=wa / wa.sum())
+        b = Ensemble(x=pb[:, None], v=np.zeros((20, 1)), w=wb / wb.sum())
+        ref = wasserstein_distance(pa, pb, u_weights=a.w, v_weights=b.w)
+        assert abs(wasserstein1_1d(a, b) - ref) <= 1e-12
+
+
 class TestSamplers:
     def test_uniform_box_seeded_determinism(self):
         a = uniform_box_ensemble(30, 0.0, 1.0, -1.0, 1.0, seed=42)

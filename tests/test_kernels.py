@@ -19,6 +19,7 @@ from flockctrl import (
     uniform_box_ensemble,
     xi_eval,
 )
+from flockctrl import kernels
 from flockctrl.kernels import _EXP_SEGMENT
 
 
@@ -235,6 +236,33 @@ def _line_cloud(n, span, seed, tied=False):
     return x[:, None], 5.0 + rng.normal(size=(n, 1)), w
 
 
+def _history(before, x, v, w):
+    """The cloud a call just before one on (x, v, w) sees, or None for no call."""
+    n = x.shape[0]
+    if before == "none":
+        return None
+    if before == "same cloud":
+        return x, v, w
+    if before == "other cloud":
+        return _line_cloud(n, np.ptp(x), seed=99)
+    if before == "reversed":
+        return x[::-1], v[::-1], w[::-1]
+    if before == "other n":
+        return _line_cloud(n + 3, np.ptp(x), seed=99)
+    if before == "permuted":
+        perm = np.random.default_rng(3).permutation(n)
+        return x[perm], v[perm], w[perm]
+    if before == "random hint":
+        return np.random.default_rng(4).permutation(n)
+    # "swap": the two particles that pass each other between the calls, at the
+    # first place in sorted order where two distinct positions meet
+    order = np.argsort(x[:, 0], kind="stable")
+    k = int(np.flatnonzero(np.diff(x[order, 0]) > 0)[0])
+    prev = x.copy()
+    prev[order[[k, k + 1]]] = prev[order[[k + 1, k]]]
+    return prev, v, w
+
+
 class TestExponentialField1d:
     """The sorted prefix-sum field of the exponential kernel on the line."""
 
@@ -269,6 +297,39 @@ class TestExponentialField1d:
             scale = coef @ (np.abs(v) + np.abs(v[i]))
             assert np.all(np.abs(f[i] - ref) <= 1e-13 * scale)
         assert np.linalg.norm(w @ f) <= 1e-12
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize(
+        "before",
+        ["none", "same cloud", "other cloud", "reversed", "other n", "swap", "permuted",
+         "random hint"],
+    )
+    def test_field_independent_of_previous_call(self, monkeypatch, tied, before):
+        """The sort order carried between calls changes no bit of the field."""
+        k = ExponentialKernel(1.3, 2.5)
+        # lam * span = 1200: several segments
+        x, v, w = _line_cloud(400, 480.0, seed=11, tied=tied)
+        monkeypatch.setattr(kernels, "_SORT_HINT", np.empty(0, dtype=np.intp))
+        ref = interaction_field(k, x, v, w)
+        monkeypatch.setattr(kernels, "_SORT_HINT", np.empty(0, dtype=np.intp))
+        prev = _history(before, x, v, w)
+        if isinstance(prev, tuple):
+            interaction_field(k, *prev)
+        elif prev is not None:
+            monkeypatch.setattr(kernels, "_SORT_HINT", prev)
+        f = interaction_field(k, x, v, w)
+        assert np.array_equal(f, ref)
+        np.testing.assert_array_equal(kernels._SORT_HINT, np.argsort(x[:, 0], kind="stable"))
+
+    def test_nan_position_still_fails_after_a_call(self):
+        k = ExponentialKernel(1.0, 1.0)
+        x, v, w = _line_cloud(50, 1.0, seed=2)
+        interaction_field(k, x, v, w)
+        x = x.copy()
+        x[[7, 30]] = np.nan
+        f = interaction_field(k, x, v, w)
+        assert not np.all(np.isfinite(f))
+        np.testing.assert_array_equal(kernels._SORT_HINT, np.argsort(x[:, 0], kind="stable"))
 
 
 class TestInwardRadii:
