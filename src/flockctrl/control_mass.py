@@ -75,7 +75,6 @@ class StepParams:
     slice_masses: np.ndarray
     eps0: float
     T0: float
-    atom_flagged: bool  # some column overshot c/2 by more than one max weight
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class StrategyResult:
     final: Ensemble
     total_control_time: float
     terminal_verdict: FlockingVerdict
-    phase_axes: tuple = (0,)
 
 
 def _extended_slab_masses(coords, w, cuts, eps):
@@ -184,7 +182,6 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
 
     n = math.ceil(2.0 / c)
     cuts, slice_masses = mass_quantile_cuts(e, axis, c / 2.0, n, return_masses=True)
-    atom_flagged = bool(np.any(slice_masses > c / 2.0 + e.w.max() + _MASS_TOL))
 
     coords = e.x[:, axis]
     eps0 = _largest_widening(coords, e.w, cuts, c)
@@ -217,7 +214,6 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
         slice_masses=slice_masses,
         eps0=eps0,
         T0=T0,
-        atom_flagged=atom_flagged,
     )
 
 
@@ -393,7 +389,6 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
         final=e,
         total_control_time=total_time,
         terminal_verdict=covering_box_test(kernel, support_box(e))[0],
-        phase_axes=tuple(axes),
     )
 
 

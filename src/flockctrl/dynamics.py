@@ -18,12 +18,12 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import Ensemble, FlockingMetrics, SupportBox
+from .ensemble import Ensemble, FlockingMetrics, SupportBox, flocking_metrics_of, support_box_of
 from .kernels import Kernel, interaction_field
 
 
@@ -170,17 +170,10 @@ class ControlPiece:
         return self._band.area(self.params)
 
     def to_dict(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "kind": self.kind,
-            "axis": self.axis,
-            "t_ref": self.t_ref,
-            "x_shift": self.x_shift,
-            "v_shift": self.v_shift,
-            "params": dict(self.params),
-            "dt": self.dt,
-        }
+        # not dataclasses.asdict, whose deep copies take 35 us a piece, not 5
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["params"] = dict(self.params)
+        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ControlPiece":
@@ -249,16 +242,16 @@ class TrajectorySample:
     omega_volume: float
     u_sup: float
     piece_index: int
-    ensemble: Ensemble | None = None
 
 
 class SampleColumns(NamedTuple):
     """Recorded samples, one array per quantity and one row per sample.
 
-    The box columns are ``ensemble.support_box`` of the sampled state and the
-    metric columns ``ensemble.flocking_metrics``, computed with the same numpy
-    expressions.  ``mass``, ``area`` and ``u_sup`` audit the control piece
-    active at the sample (plan index ``piece``; -1 and zeros when none acts).
+    The box and metric columns come from ``ensemble.support_box_of`` and
+    ``ensemble.flocking_metrics_of``, which ``support_box`` and
+    ``flocking_metrics`` call too.  ``mass``, ``area`` and ``u_sup`` audit the
+    control piece active at the sample (plan index ``piece``; -1 and zeros
+    when none acts).
     """
 
     t: np.ndarray  # (S,) sample times
@@ -297,10 +290,9 @@ class SampleStore:
     rows once written never change.
     """
 
-    def __init__(self, d: int, keep_ensembles: bool = False):
+    def __init__(self, d: int):
         self.n = 0
         self._cols = _empty_columns(d, 16)
-        self.ensembles = [] if keep_ensembles else None
 
     def _reserve(self, rows: int) -> SampleColumns:
         cap = self._cols.t.shape[0]
@@ -320,23 +312,9 @@ class SampleStore:
         """
         c = self._reserve(1)
         i = self.n
-        xbar = w @ x
-        vbar = w @ v
-        dx = x - xbar[None, :]
-        dv = v - vbar[None, :]
-        dv2 = np.einsum("ij,ij->i", dv, dv)
-        x_lo = x.min(axis=0)
-        v_lo = v.min(axis=0)
         c.t[i] = t
-        c.Y[i] = x.max(axis=0) - x_lo
-        c.W[i] = v.max(axis=0) - v_lo
-        c.x_shift[i] = x_lo
-        c.v_shift[i] = v_lo
-        c.xbar[i] = xbar
-        c.vbar[i] = vbar
-        c.X[i] = np.sqrt(np.einsum("ij,ij->i", dx, dx)).max()
-        c.V[i] = np.sqrt(dv2).max()
-        c.Lambda[i] = w @ dv2
+        c.Y[i], c.W[i], c.x_shift[i], c.v_shift[i] = support_box_of(x, v)
+        c.xbar[i], c.vbar[i], c.Lambda[i], c.X[i], c.V[i] = flocking_metrics_of(x, v, w)
         c.piece[i] = piece_idx
         u = None
         if piece is None:
@@ -346,8 +324,6 @@ class SampleStore:
             c.mass[i] = w[piece.in_omega(x, v, t)].sum()
             c.area[i] = piece.omega_volume()
             c.u_sup[i] = np.abs(u).max()
-        if self.ensembles is not None:
-            self.ensembles.append(Ensemble(x=x.copy(), v=v.copy(), w=w))
         self.n = i + 1
         return u
 
@@ -359,8 +335,6 @@ class SampleStore:
         c = self._reserve(rows)
         for dst, col in zip(c, src):
             dst[self.n : self.n + rows] = col[skip:]
-        if self.ensembles is not None:
-            self.ensembles.extend(traj.ensembles[skip:])
         self.n += rows
 
     def trajectory(self, final: Ensemble) -> "Trajectory":
@@ -370,16 +344,14 @@ class SampleStore:
             view = col[: self.n]
             view.flags.writeable = False
             views.append(view)
-        ensembles = None if self.ensembles is None else list(self.ensembles)
-        return Trajectory(SampleColumns(*views), final, ensembles)
+        return Trajectory(SampleColumns(*views), final)
 
 
 class SampleRows(Sequence):
     """Read-only sequence over SampleColumns; item i is row i as a TrajectorySample."""
 
-    def __init__(self, columns: SampleColumns, ensembles: list | None = None):
+    def __init__(self, columns: SampleColumns):
         self._c = columns
-        self._ensembles = ensembles
 
     def __len__(self) -> int:
         return self._c.t.shape[0]
@@ -400,7 +372,6 @@ class SampleRows(Sequence):
             omega_volume=float(c.area[i]),
             u_sup=float(c.u_sup[i]),
             piece_index=int(c.piece[i]),
-            ensemble=None if self._ensembles is None else self._ensembles[i],
         )
 
 
@@ -409,34 +380,22 @@ class Trajectory:
 
     ``columns`` (:class:`SampleColumns`) is what the audits and the CSV read.
     ``samples`` shows the same values as a read-only sequence of
-    :class:`TrajectorySample` rows, built on access.  ``ensembles`` holds
-    each sample's state when the run kept them, and is None otherwise.
+    :class:`TrajectorySample` rows, built on access.
     """
 
-    def __init__(self, columns: SampleColumns, final: Ensemble, ensembles: list | None = None):
+    def __init__(self, columns: SampleColumns, final: Ensemble):
         if np.any(columns.t[1:] <= columns.t[:-1]):
             raise ValueError("sample times must be strictly increasing")
         self.columns = columns
         self.final = final
-        self.ensembles = ensembles
 
     @property
     def samples(self) -> SampleRows:
-        return SampleRows(self.columns, self.ensembles)
-
-    def times(self) -> np.ndarray:
-        return np.array(self.columns.t)
-
-    def velocity_radii(self) -> np.ndarray:
-        return np.array(self.columns.V)
-
-    def spatial_radii(self) -> np.ndarray:
-        return np.array(self.columns.X)
+        return SampleRows(self.columns)
 
     def extend(self, other: "Trajectory") -> "Trajectory":
         """Concatenate a later trajectory, dropping its duplicated first sample."""
-        keep = self.ensembles is not None and other.ensembles is not None
-        store = SampleStore(self.final.d, keep_ensembles=keep)
+        store = SampleStore(self.final.d)
         store.append(self)
         store.append(other)
         return store.trajectory(other.final)
@@ -505,13 +464,6 @@ def _rk4_segment(kernel, x, v, w, piece, t0, t1, u0=None):
     return x, v
 
 
-def _default_dt_max(plan: ControlPlan) -> float:
-    if not plan.pieces:
-        return 0.01
-    shortest = min(p.t_end - p.t_start for p in plan.pieces)
-    return min(0.01, shortest / 20.0)
-
-
 def integrate(
     kernel: Kernel,
     e0: Ensemble,
@@ -520,7 +472,6 @@ def integrate(
     dt_max: float | None = None,
     t0: float = 0.0,
     sample_stride: int = 1,
-    record_ensembles: bool = False,
 ) -> Trajectory:
     """Advance the ensemble over [t0, t0 + horizon] under the control plan.
 
@@ -529,22 +480,21 @@ def integrate(
     interior step.  Each sample's metrics, support box and constraint audits
     (mass in omega, omega area, sup |u| against the active piece) go straight
     from the raw (x, v) arrays into the columns of the returned trajectory
-    (see :class:`SampleStore`); with ``record_ensembles`` it also keeps each
-    sampled state.  The audit's force at a sample is the first stage of the
-    next RK4 step when that step stays in the same piece, so it is evaluated
-    once.
+    (see :class:`SampleStore`).  The audit's force at a sample is the first
+    stage of the next RK4 step when that step stays in the same piece, so it
+    is evaluated once.
 
-    When dt_max is omitted, a piece carrying its synthesis-time step hint is
-    integrated with exactly that step, which makes plan replay reproduce the
-    synthesis run bit for bit; an explicit dt_max caps every segment.
+    Each segment between piece boundaries is cut into equal steps no longer
+    than: the piece's synthesis-time ``dt``, capped by an explicit dt_max (so
+    with dt_max omitted a replay reproduces the synthesis bit for bit); for a
+    piece without ``dt``, 1/20 of its length or dt_max (0.01 when omitted),
+    whichever is shorter; under no piece, dt_max, or 0.01 when omitted.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    explicit_dt = dt_max
-    if dt_max is None:
-        dt_max = _default_dt_max(plan)
-    if dt_max <= 0:
+    if dt_max is not None and dt_max <= 0:
         raise ValueError("dt_max must be positive")
+    free_dt = 0.01 if dt_max is None else dt_max
 
     t_final = t0 + horizon
     bounds = sorted(
@@ -554,7 +504,7 @@ def integrate(
     )
 
     x, v, w = e0.x.copy(), e0.v.copy(), e0.w
-    store = SampleStore(e0.d, keep_ensembles=record_ensembles)
+    store = SampleStore(e0.d)
     piece_idx = plan.piece_index_at(t0)
     # u is the force of piece piece_idx at the current state, when an audit has it
     u = store.record(t0, x, v, w, plan.pieces[piece_idx] if piece_idx >= 0 else None, piece_idx)
@@ -566,9 +516,12 @@ def integrate(
             if idx != piece_idx:
                 piece_idx, u = idx, None  # the last audit was of another piece
             piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
-            seg_dt = dt_max
-            if piece is not None and piece.dt is not None:
-                seg_dt = piece.dt if explicit_dt is None else min(explicit_dt, piece.dt)
+            if piece is None:
+                seg_dt = free_dt
+            elif piece.dt is None:
+                seg_dt = min(free_dt, (piece.t_end - piece.t_start) / 20.0)
+            else:
+                seg_dt = piece.dt if dt_max is None else min(dt_max, piece.dt)
             nsteps = max(1, math.ceil((seg_end - seg_start) / seg_dt - 1e-9))
             dt = (seg_end - seg_start) / nsteps
             for k in range(nsteps):
@@ -598,12 +551,7 @@ def finite_dim_integrate(
     The empirical measure of the result coincides with the measure pathway:
     both routes share the pairwise summation, so agreement is exact.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if np.asarray(x0).shape[0] == 1 and np.asarray(v0).ndim == 1:
-        x0 = x0.T
-    v0 = np.asarray(v0, dtype=float).reshape(x0.shape)
-    n = x0.shape[0]
-    e0 = Ensemble(x=x0, v=v0, w=np.full(n, 1.0 / n))
+    e0 = Ensemble.from_points(x0, v0)
     return integrate(kernel, e0, plan, horizon, dt_max=dt_max, t0=t0)
 
 

@@ -9,7 +9,6 @@ the mass-quantile cuts that split the support into equal-mass columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +102,15 @@ def barycenters(e: Ensemble):
     return e.w @ e.x, e.w @ e.v
 
 
+def support_box_of(x: np.ndarray, v: np.ndarray):
+    """(y, w, x_shift, v_shift) of the support of raw (N, d) arrays x and v."""
+    x_lo = x.min(axis=0)
+    v_lo = v.min(axis=0)
+    return x.max(axis=0) - x_lo, v.max(axis=0) - v_lo, x_lo, v_lo
+
+
 def support_box(e: Ensemble) -> SupportBox:
-    x_lo = e.x.min(axis=0)
-    x_hi = e.x.max(axis=0)
-    v_lo = e.v.min(axis=0)
-    v_hi = e.v.max(axis=0)
-    return SupportBox(
-        y=x_hi - x_lo,
-        w=v_hi - v_lo,
-        x_shift=x_lo,
-        v_shift=v_lo,
-    )
+    return SupportBox(*support_box_of(e.x, e.v))
 
 
 def normalized(e: Ensemble, box: SupportBox | None = None) -> Ensemble:
@@ -123,14 +120,20 @@ def normalized(e: Ensemble, box: SupportBox | None = None) -> Ensemble:
     return Ensemble(x=e.x - box.x_shift[None, :], v=e.v - box.v_shift[None, :], w=e.w)
 
 
+def flocking_metrics_of(x: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """(xbar, vbar, Lambda, X, V) of raw (N, d) arrays x, v and weights w."""
+    xbar = w @ x
+    vbar = w @ v
+    dx = x - xbar[None, :]
+    dv = v - vbar[None, :]
+    dv2 = np.einsum("ij,ij->i", dv, dv)
+    X = np.sqrt(np.einsum("ij,ij->i", dx, dx)).max()
+    return xbar, vbar, w @ dv2, X, np.sqrt(dv2).max()
+
+
 def flocking_metrics(e: Ensemble) -> FlockingMetrics:
-    xbar, vbar = barycenters(e)
-    dv = e.v - vbar[None, :]
-    dx = e.x - xbar[None, :]
-    lam = float(e.w @ np.einsum("ij,ij->i", dv, dv))
-    X = float(np.sqrt(np.einsum("ij,ij->i", dx, dx)).max())
-    V = float(np.sqrt(np.einsum("ij,ij->i", dv, dv)).max())
-    return FlockingMetrics(xbar=xbar, vbar=vbar, Lambda=lam, X=X, V=V)
+    xbar, vbar, lam, X, V = flocking_metrics_of(e.x, e.v, e.w)
+    return FlockingMetrics(xbar=xbar, vbar=vbar, Lambda=float(lam), X=float(X), V=float(V))
 
 
 def slice_mass(e: Ensemble, axis: int, lo: float, hi: float) -> float:
@@ -238,17 +241,24 @@ def uniform_box_ensemble(
 
 
 def grid_ensemble(x_low, x_high, v_low, v_high, counts_x, counts_v) -> Ensemble:
-    """Equal-weight cell-center grid on a product of position/velocity intervals."""
+    """Equal-weight cell-center grid on a product of position/velocity intervals.
+
+    counts_x and counts_v each give one count for every axis, or one per axis.
+    """
     x_low = np.atleast_1d(np.asarray(x_low, dtype=float))
     x_high = np.atleast_1d(np.asarray(x_high, dtype=float))
     v_low = np.atleast_1d(np.asarray(v_low, dtype=float))
     v_high = np.atleast_1d(np.asarray(v_high, dtype=float))
-    counts_x = np.atleast_1d(np.asarray(counts_x, dtype=int))
-    counts_v = np.atleast_1d(np.asarray(counts_v, dtype=int))
+    counts = []
+    for m, bounds in ((counts_x, x_low), (counts_v, v_low)):
+        m = np.asarray(m, dtype=int)
+        if m.ndim and m.shape != bounds.shape:
+            raise ValueError("grid counts need one entry per axis of their bounds")
+        counts.append(np.broadcast_to(m, bounds.shape))
     axes = []
     for lo, hi, m in zip(np.concatenate([x_low, v_low]),
                          np.concatenate([x_high, v_high]),
-                         np.concatenate([counts_x, counts_v])):
+                         np.concatenate(counts)):
         if m < 1:
             raise ValueError("grid counts must be positive")
         step = (hi - lo) / m

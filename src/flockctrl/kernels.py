@@ -42,13 +42,9 @@ class Kernel:
     def phi0(self) -> float:
         return float(self.phi(0.0))
 
-    def phi_sq(self, r2):
-        """phi evaluated at sqrt(r2); hot path for pairwise fields."""
-        return self.phi(np.sqrt(r2))
-
     def phi_sq_inplace(self, r2: np.ndarray) -> np.ndarray:
-        """Like phi_sq but may overwrite the squared-distance buffer."""
-        return np.asarray(self.phi_sq(r2))
+        """phi at sqrt(r2), the hot path of pairwise fields; may overwrite r2."""
+        return np.asarray(self.phi(np.sqrt(r2)))
 
     @property
     def tail_diverges(self) -> bool:

@@ -146,6 +146,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_count(x) -> bool:
+    """A positive JSON integer, or a nonempty list of them."""
+    entries = x if isinstance(x, list) and x else [x]
+    return all(_is_integer(m) and m >= 1 for m in entries)
+
+
 def _out_problem(out: str) -> str | None:
     """Why the output directory ``out`` cannot be created, or None if it can."""
     if not out or "\0" in out:
@@ -217,6 +223,10 @@ def validate_config(raw: str) -> Scenario:
             errors.append("initial.particles must be a positive integer")
         elif initial["kind"] == "uniform_box" and (not _is_integer(seed) or seed < 0):
             errors.append("initial.seed must be a nonnegative integer")
+        elif initial["kind"] == "grid" and not all(
+            _is_count(initial.get(k)) for k in ("counts_x", "counts_v")
+        ):
+            errors.append("initial.counts_x and counts_v must be positive integers or lists")
         else:
             # built here once, so that its own complaints are config errors
             try:
@@ -226,6 +236,8 @@ def validate_config(raw: str) -> Scenario:
             else:
                 if not (np.all(np.isfinite(e.x)) and np.all(np.isfinite(e.v))):
                     errors.append("initial positions and velocities must be finite")
+                if _is_integer(dim) and e.d != dim:
+                    errors.append(f"initial measure has dimension {e.d}, scenario says {dim}")
 
     c = doc.get("c")
     if c is not None and not _is_number(c):
@@ -293,10 +305,7 @@ def _write_json(path, doc) -> None:
 
 
 def _free_flight(kernel, e, t0, horizon, dt_max):
-    return integrate(
-        kernel, e, ControlPlan(), horizon, dt_max=dt_max or 0.01, t0=t0,
-        sample_stride=10,
-    )
+    return integrate(kernel, e, ControlPlan(), horizon, dt_max=dt_max, t0=t0, sample_stride=10)
 
 
 def run_scenario(s: Scenario, out_dir: str | None = None):
@@ -318,10 +327,6 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
         raise ConfigError([problem])
     kernel = s.build_kernel()
     e0 = s.build_ensemble()
-    if e0.d != s.dimension:
-        raise ConfigError(
-            [f"initial measure has dimension {e0.d}, scenario says {s.dimension}"]
-        )
 
     verdict_before = theorem3_test(kernel, e0)
     try:
@@ -456,21 +461,25 @@ def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
         raise ConfigError([f"bad plan: {exc}"]) from exc
 
 
-def replay_plan(plan_doc: dict, s: Scenario, post_horizon: float | None = None):
+def replay_plan(plan_doc: dict, s: Scenario):
     """Re-integrate an exported plan against the scenario's initial ensemble.
 
     The plan may have been synthesized against a different particle count;
-    this is the mean-field robustness check.  Returns the Trajectory.  A
-    malformed plan document raises ConfigError, and a flight whose state
-    stops being finite raises StrategyFailure.
+    this is the mean-field robustness check.  After the plan ends, the
+    ensemble flies free over ``s.post_horizon`` as in :func:`run_scenario`.
+    Returns the Trajectory.  A malformed plan document raises ConfigError,
+    and a flight whose state stops being finite raises StrategyFailure.
     """
     plan = _parse_plan(plan_doc, s.dimension)
     kernel = s.build_kernel()
     e0 = s.build_ensemble()
-    horizon = plan.t_end + (s.post_horizon if post_horizon is None else post_horizon)
-    # dt_max=None lets the pieces' synthesis-time step hints drive the
-    # integrator, reproducing the original run exactly on the control window
     try:
-        return integrate(kernel, e0, plan, horizon, dt_max=s.dt_max)
+        # dt_max=None lets the pieces' synthesis-time step hints drive the
+        # integrator, reproducing the original run exactly on the control window
+        traj = integrate(kernel, e0, plan, plan.t_end, dt_max=s.dt_max)
+        if s.post_horizon > 0:
+            post = _free_flight(kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max)
+            traj = traj.extend(post)
     except IntegrationError as exc:
         raise StrategyFailure(str(exc)) from exc
+    return traj

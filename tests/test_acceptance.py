@@ -123,7 +123,7 @@ def test_criterion_01_free_flight_certificate(free_runs):
 def test_criterion_02_monotone_v_and_conserved_mean(free_runs):
     _, runs = free_runs
     for e, _, traj, _ in runs:
-        vs = traj.velocity_radii()
+        vs = traj.columns.V
         assert np.all(np.diff(vs) <= 1e-10)
         vbar0 = traj.samples[0].metrics.vbar
         for s in traj.samples:

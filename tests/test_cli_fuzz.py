@@ -227,6 +227,14 @@ def _run(scenario, replay):
                            "v": [[0.0, -1.0], [1.0, 1.0]]}),
     replay=None,
 )
+# a 2-D scenario with 1-D explicit points, replaying a piece on axis 1
+@example(
+    scenario=dict(_MINIMAL, dimension=2,
+                  initial={"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 0.5]}),
+    replay=("doc", {"schema_version": 1, "dimension": 2, "plan": {"pieces": [
+        dict(_PIECE_DOC, kind="space_band", axis=1, params={"eps": 0.1, "y0": 1.0, "w0": 0.5}),
+    ]}}),
+)
 def test_cli_exits_0_2_or_3_without_a_traceback(scenario, replay):
     status, err = _run(scenario, replay)
     event(f"exit {status}")

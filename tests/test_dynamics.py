@@ -24,6 +24,19 @@ from flockctrl import (
 from flockctrl.dynamics import SampleStore
 
 
+def _recorded_states(monkeypatch):
+    """A list that gets each sampled state, as an Ensemble, when integrate records it."""
+    states = []
+    record = SampleStore.record
+
+    def keeping(self, t, x, v, w, piece, piece_idx):
+        states.append(Ensemble(x=x.copy(), v=v.copy(), w=w))
+        return record(self, t, x, v, w, piece, piece_idx)
+
+    monkeypatch.setattr(SampleStore, "record", keeping)
+    return states
+
+
 def _mass_piece(t0=0.0, t1=1.0, x_shift=0.0, v_shift=0.0, **overrides):
     params = {
         "x_lo": -1.0,
@@ -170,20 +183,21 @@ class TestIntegrate:
         k = PowerLawKernel(1.0, 1.0)
         e = uniform_box_ensemble(40, 0.0, 0.5, 0.0, 0.5, seed=6)
         traj = integrate(k, e, ControlPlan(), 5.0, dt_max=0.01)
-        vs = traj.velocity_radii()
+        vs = traj.columns.V
         assert np.all(np.diff(vs) <= 1e-10)
-        xmax = traj.spatial_radii().max()
+        xmax = traj.columns.X.max()
         rate = k.phi(2.0 * xmax)
-        ts = traj.times()
+        ts = traj.columns.t
         assert np.all(vs <= vs[0] * np.exp(-rate * ts) * (1.0 + 1e-6) + 1e-15)
 
-    def test_velocity_box_invariant_uncontrolled(self):
+    def test_velocity_box_invariant_uncontrolled(self, monkeypatch):
         e = uniform_box_ensemble(40, 0.0, 1.0, 0.0, 1.0, seed=8)
-        traj = integrate(PowerLawKernel(1.0, 1.0), e, ControlPlan(), 3.0, dt_max=0.01,
-                         record_ensembles=True)
-        for s in traj.samples:
-            assert s.ensemble.v.min() >= -1e-9
-            assert s.ensemble.v.max() <= 1.0 + 1e-9
+        states = _recorded_states(monkeypatch)
+        traj = integrate(PowerLawKernel(1.0, 1.0), e, ControlPlan(), 3.0, dt_max=0.01)
+        assert len(states) == len(traj.samples)
+        for s in states:
+            assert s.v.min() >= -1e-9
+            assert s.v.max() <= 1.0 + 1e-9
 
     def test_forward_backward_round_trip(self):
         k = PowerLawKernel(1.0, 1.0)
@@ -229,11 +243,11 @@ class TestIntegrate:
         e = uniform_box_ensemble(10, 0.0, 1.0, 0.0, 1.0, seed=1)
         plan = ControlPlan(pieces=(_mass_piece(0.0, 0.37), _mass_piece(0.37, 0.61)))
         traj = integrate(PowerLawKernel(), e, plan, 1.0, dt_max=0.1)
-        times = list(traj.times())
+        times = traj.columns.t.tolist()
         assert any(abs(t - 0.37) < 1e-15 for t in times)
         assert any(abs(t - 0.61) < 1e-15 for t in times)
 
-    def test_barycenter_ode_matches_control_sum(self):
+    def test_barycenter_ode_matches_control_sum(self, monkeypatch):
         """d vbar / dt equals the weighted control force over omega."""
         k = PowerLawKernel(1.0, 1.0)
         e = uniform_box_ensemble(60, 0.0, 1.0, 0.0, 1.0, seed=3)
@@ -241,13 +255,15 @@ class TestIntegrate:
                             x_lo=-0.5, x_hi=1.5, eps=0.2)
         plan = ControlPlan(pieces=(piece,))
         dt = 0.002
-        traj = integrate(k, e, plan, 0.2, dt_max=dt, record_ensembles=True)
+        states = _recorded_states(monkeypatch)
+        traj = integrate(k, e, plan, 0.2, dt_max=dt)
         samples = traj.samples
         for i in range(0, len(samples) - 2, 10):
             a, mid, b = samples[i], samples[i + 1], samples[i + 2]
             fd = (b.metrics.vbar[0] - a.metrics.vbar[0]) / (b.t - a.t)
-            force = piece.force(mid.ensemble.x, mid.ensemble.v, mid.t)
-            inst = float(mid.ensemble.w @ force[:, 0])
+            s = states[i + 1]
+            force = piece.force(s.x, s.v, mid.t)
+            inst = float(s.w @ force[:, 0])
             assert abs(fd - inst) < 50.0 * dt * dt + 1e-8 + 0.05 * abs(inst) + 1e-4
 
 
@@ -324,14 +340,15 @@ COLUMN_CASES = ["mass_band", "space_band", "empty"]
 
 class TestSampleColumns:
     @pytest.mark.parametrize("case", COLUMN_CASES)
-    def test_rows_match_recomputation_on_each_sample(self, case):
+    def test_rows_match_recomputation_on_each_sample(self, case, monkeypatch):
         e, plan, horizon = _column_case(case)
-        traj = integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.01,
-                         record_ensembles=True)
-        times = traj.times()
+        states = _recorded_states(monkeypatch)
+        traj = integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.01)
+        times = traj.columns.t
         assert len(traj.samples) > 16  # the store grew past its first allocation
+        assert len(states) == len(traj.samples)
         for i, row in enumerate(traj.samples):
-            s = row.ensemble
+            s = states[i]
             m, box = flocking_metrics(s), support_box(s)
             assert _bits(row.t, row.metrics.X, row.metrics.V, row.metrics.Lambda,
                          row.metrics.xbar, row.metrics.vbar) == _bits(
@@ -380,9 +397,9 @@ class TestSampleColumns:
         rows = traj.samples
         assert len(rows) == traj.columns.t.size
         assert all(isinstance(r, TrajectorySample) for r in rows)
-        assert [r.t for r in rows] == traj.times().tolist()
+        assert [r.t for r in rows] == traj.columns.t.tolist()
         assert rows[-1].t == rows[len(rows) - 1].t == traj.columns.t[-1]
-        assert [r.t for r in rows[::5]] == traj.times()[::5].tolist()
+        assert [r.t for r in rows[::5]] == traj.columns.t[::5].tolist()
         with pytest.raises(IndexError):
             rows[len(rows)]
         with pytest.raises(TypeError):
@@ -395,13 +412,11 @@ class TestSampleColumns:
     def test_extend_drops_the_repeated_first_sample(self):
         k = PowerLawKernel(1.0, 1.0)
         e, plan, horizon = _column_case("space_band")
-        a = integrate(k, e, plan, horizon, dt_max=0.01, record_ensembles=True)
-        b = integrate(k, a.final, ControlPlan(), 0.3, dt_max=0.01, t0=a.times()[-1],
-                      record_ensembles=True)
+        a = integrate(k, e, plan, horizon, dt_max=0.01)
+        b = integrate(k, a.final, ControlPlan(), 0.3, dt_max=0.01, t0=a.columns.t[-1])
         joined = a.extend(b)
         assert len(joined.samples) == len(a.samples) + len(b.samples) - 1
         for name, col in zip(joined.columns._fields, joined.columns):
             expected = np.concatenate([getattr(a.columns, name), getattr(b.columns, name)[1:]])
             assert _bits(col) == _bits(expected), name
-        assert joined.ensembles == a.ensembles + b.ensembles[1:]
         assert joined.final is b.final

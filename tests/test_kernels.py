@@ -51,8 +51,9 @@ class TestPhiEval:
 
     def test_phi_sq_matches_phi(self):
         r = np.linspace(0.0, 9.0, 50)
-        for k in (PowerLawKernel(1.0, 1.7), ExponentialKernel(1.0, 2.0)):
-            np.testing.assert_allclose(k.phi_sq(r * r), k.phi(r), rtol=1e-14)
+        for k in (PowerLawKernel(1.0, 1.7), ExponentialKernel(1.0, 2.0),
+                  TabulatedKernel((0.0, 1.0, 5.0), (2.0, 1.0, 0.5))):
+            np.testing.assert_allclose(k.phi_sq_inplace(r * r), k.phi(r), rtol=1e-14)
 
 
 class TestTailIntegral:

@@ -62,6 +62,13 @@ VOLUME_SMALL = dict(
     initial=dict(MASS_SMALL["initial"], particles=40),
 )
 
+MASS_2D_SMALL = dict(
+    MASS_SMALL,
+    dimension=2,
+    initial=dict(MASS_SMALL["initial"], particles=40, x_low=[0.0, 0.0], x_high=[0.2, 0.2],
+                 v_low=[0.0, 0.0], v_high=[0.2, 0.2]),
+)
+
 # a plan document with one valid piece; the replay probes below break it
 GOOD_PIECE = {
     "t_start": 0.0, "t_end": 0.1, "kind": "mass_band", "axis": 0, "t_ref": 0.0,
@@ -78,6 +85,21 @@ def _plan_doc(drop=(), **changes):
 
 def _scenario(doc):
     return validate_config(json.dumps(doc))
+
+
+def _count_rk4_steps(monkeypatch):
+    """A list that gets the start time of every RK4 step taken."""
+    from flockctrl import dynamics
+
+    steps = []
+    rk4 = dynamics._rk4_segment
+
+    def counting(*args):
+        steps.append(args[5])
+        return rk4(*args)
+
+    monkeypatch.setattr(dynamics, "_rk4_segment", counting)
+    return steps
 
 
 class TestValidateConfig:
@@ -251,6 +273,33 @@ class TestReplay:
         np.testing.assert_array_equal(traj.final.x, res.final.x)
         np.testing.assert_array_equal(traj.final.v, res.final.v)
 
+    @pytest.mark.parametrize(
+        "doc", [MASS_SMALL, MASS_2D_SMALL, VOLUME_SMALL], ids=["mass_1d", "mass_2d", "volume"]
+    )
+    def test_replay_flies_after_control_as_the_run_does(self, doc):
+        s = _scenario(dict(doc, post_horizon=0.5))
+        _, run, plan = run_scenario(s)
+        assert plan.pieces
+        plan_doc = {"schema_version": 1, "dimension": s.dimension, "plan": plan.to_dict()}
+        replayed = replay_plan(json.loads(json.dumps(plan_doc)), s)
+        after_run = run.columns.t >= plan.t_end
+        after_replay = replayed.columns.t >= plan.t_end
+        assert np.count_nonzero(after_run) > 2
+        for name, a, b in zip(run.columns._fields, run.columns, replayed.columns):
+            # the row where control ends numbers its piece within the last step
+            # in the run and within the whole plan in the replay
+            rows = slice(1, None) if name == "piece" else slice(None)
+            assert a[after_run][rows].tobytes() == b[after_replay][rows].tobytes(), name
+
+    def test_replay_steps_a_piece_without_dt_by_its_own_length(self, monkeypatch):
+        # at 1/20 of the shortest piece, the flight after it would take 2e10 steps
+        steps = _count_rk4_steps(monkeypatch)
+        tiny = dict(GOOD_PIECE, t_start=0.1, t_end=0.1 + 1e-9, dt=None)
+        plan_doc = {"schema_version": 1, "dimension": 1, "plan": {"pieces": [GOOD_PIECE, tiny]}}
+        traj = replay_plan(plan_doc, _scenario(dict(MASS_SMALL, post_horizon=1.0)))
+        assert len(steps) <= 250
+        assert traj.columns.t[-1] == pytest.approx(1.1 + 1e-9, abs=1e-12)
+
     def test_replay_plan_checks_schema(self):
         s = _scenario(MASS_SMALL)
         with pytest.raises(ConfigError, match="schema_version"):
@@ -285,8 +334,9 @@ class TestReplay:
                 "x": e0.x[idx].tolist(),
                 "v": e0.v[idx].tolist(),
             },
+            post_horizon=0.0,
         )
-        traj = replay_plan(plan_doc, _scenario(doc), post_horizon=0.0)
+        traj = replay_plan(plan_doc, _scenario(doc))
         w_final = float(traj.samples[-1].box.w[0])
         assert w_final <= 2.0 * w_orig
 
@@ -399,16 +449,7 @@ class TestCli:
     def test_exit_two_on_uncreatable_out_before_any_step(
         self, tmp_path, capsys, monkeypatch, replay
     ):
-        from flockctrl import dynamics
-
-        steps = []
-        rk4 = dynamics._rk4_segment
-
-        def counting(*args):
-            steps.append(args[5])
-            return rk4(*args)
-
-        monkeypatch.setattr(dynamics, "_rk4_segment", counting)
+        steps = _count_rk4_steps(monkeypatch)
         blocker = tmp_path / "file"
         blocker.write_text("")
         doc = dict(MASS_SMALL, out=str(blocker / "out"))
@@ -422,6 +463,47 @@ class TestCli:
         assert err.count("config error") == 1 and "not a directory" in err
         assert "Traceback" not in err
         assert steps == []
+
+    def test_exit_two_on_replay_against_a_measure_of_another_dimension(self, tmp_path, capsys):
+        # a 2-D scenario whose explicit points are 1-D, and a plan on axis 1
+        doc = dict(MINIMAL, dimension=2,
+                   initial={"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 0.5]})
+        piece = dict(GOOD_PIECE, kind="space_band", axis=1,
+                     params={"eps": 0.1, "y0": 1.0, "w0": 0.5})
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"schema_version": 1, "dimension": 2, "plan": {"pieces": [piece]}}
+        ))
+        argv = ["--config", self._write_config(tmp_path, doc), "--replay", str(plan)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and "dimension 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "counts_x, counts_v",
+        [("3", 2), (3, "2"), (True, 2), (3.0, 2), ([3, "2"], 2), ([3, True], 2), ([], 2),
+         ([3, 2], 2), (None, 2)],
+        ids=["string", "string_v", "boolean", "float", "string_entry", "boolean_entry",
+             "empty_list", "entry_per_missing_axis", "missing"],
+    )
+    def test_exit_two_on_bad_grid_counts(self, tmp_path, capsys, counts_x, counts_v):
+        initial = {"kind": "grid", "x_low": 0.0, "x_high": 1.0, "v_low": 0.0, "v_high": 1.0,
+                   "counts_x": counts_x, "counts_v": counts_v}
+        cfg = self._write_config(tmp_path, dict(MINIMAL, initial=initial))
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and "counts" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "counts_x, n", [(3, 3 * 3 * 2 * 2), ([3, 2], 3 * 2 * 2 * 2)], ids=["integer", "per_axis"]
+    )
+    def test_grid_counts_per_axis(self, counts_x, n):
+        initial = {"kind": "grid", "x_low": [0.0, 0.0], "x_high": [1.0, 1.0],
+                   "v_low": [0.0, 0.0], "v_high": [1.0, 1.0], "counts_x": counts_x, "counts_v": 2}
+        s = _scenario(dict(MINIMAL, dimension=2, initial=initial))
+        assert s.ensemble.n == n and s.ensemble.d == 2
 
     def test_good_replay_plan_probe_runs(self, tmp_path):
         cfg = self._write_config(tmp_path, dict(MASS_SMALL, post_horizon=0.0))
