@@ -237,6 +237,16 @@ def interaction_field(kernel: Kernel, x: np.ndarray, v: np.ndarray, w: np.ndarra
     columns j >= e also give rows j their terms from i in [s, e).  Each pair
     thus costs one kernel evaluation, and no N x N array is built.  The
     weighted sum over particles cancels by antisymmetry up to round-off.
+
+    A block's differences x_ik - x_jk are one rank-2 matrix product per
+    coordinate, [x_ik, -1] . [1, x_jk], read from the columns of
+    _lifted(x): a GEMM runs at the speed of an in-place multiply, where
+    numpy's outer difference does not vectorise its stride-0 operand.  Both
+    products x_ik * 1 and -1 * x_jk are exact, so the sum rounds once, to
+    the correctly rounded x_ik - x_jk, in any summation order, with or
+    without FMA, in BLAS or in numpy's own loop; inf stays inf and
+    inf - inf is NaN.  Only the sign of an exact zero can differ (the
+    accumulator starts at +0), and the square erases it.
     """
     n, d = x.shape
     if d == 1 and isinstance(kernel, ExponentialKernel):
@@ -245,6 +255,7 @@ def interaction_field(kernel: Kernel, x: np.ndarray, v: np.ndarray, w: np.ndarra
     np.multiply(w[:, None], v, out=rhs[:, :d])
     rhs[:, d] = w
     acc = np.empty((n, d + 1))
+    lifted = _lifted(x)
     # kernel values and one coordinate's differences; every block reuses it
     buf = np.empty(2 * min(_FIELD_BLOCK, n) * n)
     # last block first: a block's own product then sets its rows, and the
@@ -253,12 +264,12 @@ def interaction_field(kernel: Kernel, x: np.ndarray, v: np.ndarray, w: np.ndarra
         e = min(s + _FIELD_BLOCK, n)
         size = (e - s) * (n - s)
         r2 = buf[:size].reshape(e - s, n - s)
-        np.subtract.outer(x[s:e, 0], x[s:, 0], out=r2)
+        np.matmul(lifted[0, s:e, 1:], lifted[0, s:, :2].T, out=r2)
         np.multiply(r2, r2, out=r2)
         if d > 1:
             dk = buf[size : 2 * size].reshape(e - s, n - s)
             for k in range(1, d):
-                np.subtract.outer(x[s:e, k], x[s:, k], out=dk)
+                np.matmul(lifted[k, s:e, 1:], lifted[k, s:, :2].T, out=dk)
                 np.multiply(dk, dk, out=dk)
                 r2 += dk
         p = kernel.phi_sq_inplace(r2)
@@ -266,6 +277,19 @@ def interaction_field(kernel: Kernel, x: np.ndarray, v: np.ndarray, w: np.ndarra
         if e < n:
             acc[e:] += p[:, e - s :].T @ rhs[s:e]
     return acc[:, :d] - acc[:, d:] * v
+
+
+def _lifted(x: np.ndarray) -> np.ndarray:
+    """C[k] = [1 | x_k | -1] for each coordinate k of x (N, d), shape (d, N, 3).
+
+    C[k, s:e, 1:] @ C[k, s:, :2].T is the block of differences x_ik - x_jk,
+    i in [s, e), j >= s; both operands are strided views that BLAS takes.
+    """
+    lifted = np.empty((x.shape[1], x.shape[0], 3))
+    lifted[..., 0] = 1.0
+    lifted[..., 1] = x.T
+    lifted[..., 2] = -1.0
+    return lifted
 
 
 def _exponential_field_1d(kernel: ExponentialKernel, x, v, w) -> np.ndarray:

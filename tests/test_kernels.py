@@ -217,6 +217,77 @@ class TestInteractionFieldBlocks:
         np.testing.assert_array_equal(f1, f2)
 
 
+def _outer_difference_field(kernel, x, v, w):
+    """interaction_field's row-blocked loop with np.subtract.outer differences.
+
+    The reference that the matrix-product differences must reproduce bit
+    for bit: the blocks, their order and every operation after the
+    differences are the same.
+    """
+    n, d = x.shape
+    rhs = np.empty((n, d + 1))
+    np.multiply(w[:, None], v, out=rhs[:, :d])
+    rhs[:, d] = w
+    acc = np.empty((n, d + 1))
+    buf = np.empty(2 * min(kernels._FIELD_BLOCK, n) * n)
+    for s in reversed(range(0, n, kernels._FIELD_BLOCK)):
+        e = min(s + kernels._FIELD_BLOCK, n)
+        size = (e - s) * (n - s)
+        r2 = buf[:size].reshape(e - s, n - s)
+        np.subtract.outer(x[s:e, 0], x[s:, 0], out=r2)
+        np.multiply(r2, r2, out=r2)
+        if d > 1:
+            dk = buf[size : 2 * size].reshape(e - s, n - s)
+            for k in range(1, d):
+                np.subtract.outer(x[s:e, k], x[s:, k], out=dk)
+                np.multiply(dk, dk, out=dk)
+                r2 += dk
+        p = kernel.phi_sq_inplace(r2)
+        np.matmul(p, rhs[s:], out=acc[s:e])
+        if e < n:
+            acc[e:] += p[:, e - s :].T @ rhs[s:e]
+    return acc[:, :d] - acc[:, d:] * v
+
+
+class TestFieldDifferences:
+    """The block differences are a rank-2 matrix product, exact like a subtraction."""
+
+    @pytest.mark.parametrize(
+        "name, d",
+        [(name, d) for name in sorted(FIELD_KERNELS) for d in (1, 2, 3)
+         if (name, d) != ("exponential", 1)],  # the line's exponential has its own path
+    )
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 400])
+    def test_field_matches_outer_differences_bit_for_bit(self, name, d, n):
+        k = FIELD_KERNELS[name]
+        e = _weighted_cloud(n, d, seed=7 * n + d)
+        got = interaction_field(k, e.x, e.v, e.w)
+        assert np.array_equal(got, _outer_difference_field(k, e.x, e.v, e.w))
+
+    def test_differences_of_edge_values_round_like_subtraction(self):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, 0.1, -3.5,
+                1e300, -1e300, 1.7e308, -1.7e308, np.inf, -np.inf]
+        # 75 values in each coordinate: two blocks, the first one full
+        x = np.stack([np.tile(edge, 5), np.roll(np.tile(edge, 5), 3)], axis=1)
+        lifted = kernels._lifted(x)
+        n = x.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(2):
+                for s in range(0, n, kernels._FIELD_BLOCK):
+                    e = min(s + kernels._FIELD_BLOCK, n)
+                    got = np.empty((e - s, n - s))
+                    np.matmul(lifted[k, s:e, 1:], lifted[k, s:, :2].T, out=got)
+                    ref = np.subtract.outer(x[s:e, k], x[s:, k])
+                    nan = np.isnan(ref)
+                    assert np.array_equal(np.isnan(got), nan)
+                    # bit for bit, but for the sign of an exact zero (-0 - 0
+                    # is -0; a product's sum starts from +0), which squares erase
+                    assert np.array_equal((got + 0.0).view(np.int64)[~nan],
+                                          (ref + 0.0).view(np.int64)[~nan])
+                    assert np.array_equal((got * got).view(np.int64)[~nan],
+                                          (ref * ref).view(np.int64)[~nan])
+
+
 def _dense_field_1d(k, x, v, w):
     """The field on the line from the N x N kernel matrix, and the size of the
     terms that cancel in it, sum_j w_j phi_ij (|v_j| + |v_i|), per row."""
