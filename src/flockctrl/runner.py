@@ -169,11 +169,11 @@ def _out_problem(out: str) -> str | None:
 def validate_config(raw: str) -> Scenario:
     """Parse and validate a JSON scenario, applying documented defaults.
 
-    The initial measure is built here once and kept on the Scenario, and the
-    output directory is checked to be creatable, so neither fails after a run.
+    The initial measure is built here once, after every other check has
+    passed, and kept on the Scenario; the output directory is checked to be
+    creatable, so neither fails after a run.
     """
     errors = []
-    e = None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -227,17 +227,6 @@ def validate_config(raw: str) -> Scenario:
             _is_count(initial.get(k)) for k in ("counts_x", "counts_v")
         ):
             errors.append("initial.counts_x and counts_v must be positive integers or lists")
-        else:
-            # built here once, so that its own complaints are config errors
-            try:
-                e = _build_initial(initial)
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"bad initial measure: {exc}")
-            else:
-                if not (np.all(np.isfinite(e.x)) and np.all(np.isfinite(e.v))):
-                    errors.append("initial positions and velocities must be finite")
-                if _is_integer(dim) and e.d != dim:
-                    errors.append(f"initial measure has dimension {e.d}, scenario says {dim}")
 
     c = doc.get("c")
     if c is not None and not _is_number(c):
@@ -268,7 +257,19 @@ def validate_config(raw: str) -> Scenario:
         errors.append("out must be a string naming a directory")
     elif out is not None and (problem := _out_problem(out)):
         errors.append(problem)
+    if errors:
+        raise ConfigError(errors)
 
+    # built last, once, so that its own complaints are config errors and a
+    # grid, whose size nothing bounds, is never built for a rejected config
+    try:
+        e = _build_initial(initial)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([f"bad initial measure: {exc}"]) from exc
+    if not (np.all(np.isfinite(e.x)) and np.all(np.isfinite(e.v))):
+        errors.append("initial positions and velocities must be finite")
+    if e.d != dim:
+        errors.append(f"initial measure has dimension {e.d}, scenario says {dim}")
     if errors:
         raise ConfigError(errors)
     return Scenario(

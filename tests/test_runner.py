@@ -496,6 +496,26 @@ class TestCli:
         assert err.count("config error") == 1 and "counts" in err
         assert "Traceback" not in err
 
+    def test_other_errors_come_before_building_the_initial_measure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from flockctrl import runner
+
+        built = []
+        build = runner._build_initial
+
+        def counting(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(runner, "_build_initial", counting)
+        initial = {"kind": "grid", "x_low": 0.0, "x_high": 1.0, "v_low": 0.0, "v_high": 1.0,
+                   "counts_x": 1000, "counts_v": 1000}
+        cfg = self._write_config(tmp_path, dict(MASS_SMALL, c=5, initial=initial))
+        assert cli_main(["--config", cfg]) == 2
+        assert "mass budget c must be at most 2" in capsys.readouterr().err
+        assert built == []
+
     @pytest.mark.parametrize(
         "counts_x, n", [(3, 3 * 3 * 2 * 2), ([3, 2], 3 * 2 * 2 * 2)], ids=["integer", "per_axis"]
     )
