@@ -362,8 +362,9 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
                 )
             e, rec, frag, step_traj = step(e, axis, t_end)
             records.append(rec)
+            # the step numbers its pieces from 0; the plan, from len(pieces)
+            store.append(step_traj, piece_offset=len(pieces))
             pieces.extend(frag.pieces)
-            store.append(step_traj)
             t_end, W = rec.t_end, rec.W_after
         phase_end_times.append(t_end)
     plan = ControlPlan(pieces=tuple(pieces))

@@ -327,14 +327,21 @@ class SampleStore:
         self.n = i + 1
         return u
 
-    def append(self, traj: "Trajectory") -> None:
-        """Append a later trajectory's rows, dropping a first one that repeats the last."""
+    def append(self, traj: "Trajectory", piece_offset: int = 0) -> None:
+        """Append a later trajectory's rows, dropping a first one that repeats the last.
+
+        ``piece_offset`` is added to the rows' piece indices, but not to -1:
+        the pieces ``traj`` flew come after that many others in the plan.
+        """
         src = traj.columns
         skip = int(self.n > 0 and src.t.size > 0 and src.t[0] <= self._cols.t[self.n - 1] + 1e-12)
         rows = src.t.size - skip
         c = self._reserve(rows)
         for dst, col in zip(c, src):
             dst[self.n : self.n + rows] = col[skip:]
+        if piece_offset:
+            piece = c.piece[self.n : self.n + rows]
+            piece[piece >= 0] += piece_offset
         self.n += rows
 
     def trajectory(self, final: Ensemble) -> "Trajectory":

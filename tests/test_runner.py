@@ -286,10 +286,10 @@ class TestReplay:
         after_replay = replayed.columns.t >= plan.t_end
         assert np.count_nonzero(after_run) > 2
         for name, a, b in zip(run.columns._fields, run.columns, replayed.columns):
-            # the row where control ends numbers its piece within the last step
-            # in the run and within the whole plan in the replay
-            rows = slice(1, None) if name == "piece" else slice(None)
-            assert a[after_run][rows].tobytes() == b[after_replay][rows].tobytes(), name
+            assert a[after_run].tobytes() == b[after_replay].tobytes(), name
+            # under control too, piece numbers included; the run samples its
+            # initial state before the first step, against no piece
+            assert a[1:].tobytes() == b[1:].tobytes(), name
 
     def test_replay_steps_a_piece_without_dt_by_its_own_length(self, monkeypatch):
         # at 1/20 of the shortest piece, the flight after it would take 2e10 steps
