@@ -37,20 +37,16 @@ from .dynamics import (
     Trajectory,
     TrajectorySample,
     decay_rate_estimate,
-    finite_dim_integrate,
     integrate,
-    step_rhs,
 )
 from .ensemble import (
     Ensemble,
     FlockingMetrics,
     SupportBox,
-    barycenters,
     flocking_metrics,
     grid_ensemble,
     mass_quantile_cuts,
     normalized,
-    slice_mass,
     support_box,
     uniform_box_ensemble,
     wasserstein1_1d,

@@ -181,7 +181,7 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
         raise DegenerateMeasureError("velocity barycenter sits on the support edge")
 
     n = math.ceil(2.0 / c)
-    cuts, slice_masses = mass_quantile_cuts(e, axis, c / 2.0, n, return_masses=True)
+    cuts, slice_masses = mass_quantile_cuts(e, axis, c / 2.0, n)
 
     coords = e.x[:, axis]
     eps0 = _largest_widening(coords, e.w, cuts, c)

@@ -443,17 +443,6 @@ def _rhs(kernel, x, v, w, piece, t, u=None):
     return v, dv
 
 
-def step_rhs(kernel: Kernel, e: Ensemble, piece: ControlPiece | None, t: float):
-    """Right-hand side of the controlled characteristics at time t.
-
-    Returns (dx, dv) arrays of shape (N, d).  The control force is continuous
-    and vanishes on the complement of the control set, so no explicit
-    indicator multiplication is needed.
-    """
-    dx, dv = _rhs(kernel, e.x, e.v, e.w, piece, t)
-    return dx.copy(), dv
-
-
 def _rk4_segment(kernel, x, v, w, piece, t0, t1, u0=None):
     """Advance (x, v) from t0 to t1 in one RK4 step.
 
@@ -542,24 +531,6 @@ def integrate(
                     u = store.record(t_now, x, v, w, piece, piece_idx)
 
     return store.trajectory(Ensemble(x=x, v=v, w=w))
-
-
-def finite_dim_integrate(
-    kernel: Kernel,
-    x0: np.ndarray,
-    v0: np.ndarray,
-    plan: ControlPlan,
-    horizon: float,
-    dt_max: float | None = None,
-    t0: float = 0.0,
-) -> Trajectory:
-    """Integrate the N-agent ODE system with uniform coupling weights 1/N.
-
-    The empirical measure of the result coincides with the measure pathway:
-    both routes share the pairwise summation, so agreement is exact.
-    """
-    e0 = Ensemble.from_points(x0, v0)
-    return integrate(kernel, e0, plan, horizon, dt_max=dt_max, t0=t0)
 
 
 def decay_rate_estimate(traj: Trajectory, t_from: float = 0.0) -> float:

@@ -2,9 +2,9 @@
 
 An :class:`Ensemble` is an immutable snapshot of N particles (x_i, v_i, w_i)
 in dimension d whose weights form a probability measure.  All state queries
-used by the control strategies live here: barycenters, support boxes with
-their normalizing translation, flocking metrics, spatial slice masses and
-the mass-quantile cuts that split the support into equal-mass columns.
+used by the control strategies live here: support boxes with their
+normalizing translation, flocking metrics (barycenters among them) and the
+mass-quantile cuts that split the support into equal-mass columns.
 """
 
 from __future__ import annotations
@@ -77,16 +77,6 @@ class SupportBox:
     x_shift: np.ndarray  # original x minus x_shift lands in [0, Y_j]
     v_shift: np.ndarray  # original v minus v_shift lands in [0, W_j]
 
-    def contains(self, e: Ensemble, slack: float = 0.0) -> bool:
-        xs = e.x - self.x_shift[None, :]
-        vs = e.v - self.v_shift[None, :]
-        return bool(
-            np.all(xs >= -slack)
-            and np.all(xs <= self.y[None, :] + slack)
-            and np.all(vs >= -slack)
-            and np.all(vs <= self.w[None, :] + slack)
-        )
-
 
 @dataclass(frozen=True)
 class FlockingMetrics:
@@ -95,11 +85,6 @@ class FlockingMetrics:
     Lambda: float  # weighted velocity variance around vbar
     X: float  # spatial support radius around xbar
     V: float  # velocity support radius around vbar
-
-
-def barycenters(e: Ensemble):
-    """Weighted mean position and velocity."""
-    return e.w @ e.x, e.w @ e.v
 
 
 def support_box_of(x: np.ndarray, v: np.ndarray):
@@ -136,25 +121,12 @@ def flocking_metrics(e: Ensemble) -> FlockingMetrics:
     return FlockingMetrics(xbar=xbar, vbar=vbar, Lambda=float(lam), X=float(X), V=float(V))
 
 
-def slice_mass(e: Ensemble, axis: int, lo: float, hi: float) -> float:
-    """Total weight of particles with lo <= x_axis <= hi (closed interval)."""
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    c = e.x[:, axis]
-    return float(e.w[(c >= lo) & (c <= hi)].sum())
-
-
-def mass_quantile_cuts(
-    e: Ensemble,
-    axis: int,
-    target_mass: float,
-    n: int,
-    return_masses: bool = False,
-):
+def mass_quantile_cuts(e: Ensemble, axis: int, target_mass: float, n: int):
     """Cut positions x_[0..n] splitting axis `axis` into near-target-mass slices.
 
-    x_[0] = 0 and x_[n] = Y (extent on the axis); interior cuts are the
-    smallest particle coordinates at which the cumulative mass since the
+    Returns (cuts, masses), masses[i] the weight slice i took.  x_[0] = 0
+    and x_[n] = Y (extent on the axis); interior cuts are the smallest
+    particle coordinates at which the cumulative mass since the
     previous cut reaches >= target_mass.  Coordinates are taken as given,
     so callers should pass an ensemble already in the normalized frame.
     Ties in coordinates are broken by particle index (stable sort).
@@ -192,9 +164,7 @@ def mass_quantile_cuts(
     if np.any(np.diff(cuts) < 0):
         # only possible when every remaining cut collapsed onto the extent
         cuts = np.maximum.accumulate(cuts)
-    if return_masses:
-        return cuts, masses
-    return cuts
+    return cuts, masses
 
 
 def wasserstein1_1d(e1: Ensemble, e2: Ensemble, coord: str = "x", axis: int = 0) -> float:

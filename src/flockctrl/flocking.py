@@ -35,7 +35,9 @@ class FlockingVerdict:
 
 
 def _solve_xm(kernel: Kernel, X0: float, V0: float) -> float:
-    """Smallest X_M >= X0 with int_{X0}^{X_M} phi(2x) dx = V0, by bisection."""
+    """Smallest X_M >= X0 with int_{X0}^{X_M} phi(2x) dx = V0, by bisection.
+
+    +inf when X_M lies beyond X0 + 1e12, as it can for gamma near 1/2."""
     if V0 <= 0.0:
         return X0
 
@@ -48,10 +50,10 @@ def _solve_xm(kernel: Kernel, X0: float, V0: float) -> float:
     while consumed(hi) <= V0:
         hi = X0 + 2.0 * (hi - X0)
         if hi > X0 + 1e12:
-            raise RuntimeError("X_M bracket search failed to close")
+            return math.inf
     lo = X0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+    # from 2^19 on, adjacent doubles lie more than _BISECT_TOL apart
+    while hi - lo > _BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
         if consumed(mid) <= V0:
             lo = mid
         else:

@@ -105,17 +105,13 @@ class PowerLawKernel(Kernel):
             return math.inf
         if self.gamma == 1.0:
             return 0.5 * self.K * (math.pi / 2.0 - math.atan(2.0 * a))
-        from scipy.integrate import quad
+        # s = 1 / (1 + 4x^2) turns the tail into (K/4) B(t; gamma - 1/2, 1/2),
+        # t = 1 / (1 + 4a^2): the incomplete beta function, which is the
+        # complete one B times scipy's regularized betainc
+        from scipy.special import beta, betainc
 
-        val, _ = quad(
-            lambda x: self.K / (1.0 + 4.0 * x * x) ** self.gamma,
-            a,
-            math.inf,
-            epsrel=1e-10,
-            epsabs=1e-14,
-            limit=200,
-        )
-        return val
+        p = self.gamma - 0.5
+        return float(0.25 * self.K * beta(p, 0.5) * betainc(p, 0.5, 1.0 / (1.0 + 4.0 * a * a)))
 
     def to_dict(self) -> dict:
         return {"family": "power_law", "K": self.K, "gamma": self.gamma}

@@ -23,9 +23,9 @@ from flockctrl import (
     complete_strategy_space,
     corollary2_test,
     decay_rate_estimate,
-    finite_dim_integrate,
     flocking_metrics,
     integrate,
+    interaction_field,
     inward_radii,
     run_scenario,
     support_box,
@@ -232,18 +232,19 @@ def test_criterion_08_integrator_oracle():
     assert dev <= 1e-8
 
     # round trip: integrate the same vector field with a negative step
-    from flockctrl import step_rhs
+    def rhs(e):
+        return e.v, interaction_field(kernel, e.x, e.v, e.w)
 
     fwd = integrate(kernel, e0, ControlPlan(), 1.0, dt_max=0.01)
     cur, w, dt = fwd.final, e0.w, -0.01
     for _ in range(100):
-        k1x, k1v = step_rhs(kernel, cur, None, 0.0)
+        k1x, k1v = rhs(cur)
         mid1 = Ensemble(x=cur.x + 0.5 * dt * k1x, v=cur.v + 0.5 * dt * k1v, w=w)
-        k2x, k2v = step_rhs(kernel, mid1, None, 0.0)
+        k2x, k2v = rhs(mid1)
         mid2 = Ensemble(x=cur.x + 0.5 * dt * k2x, v=cur.v + 0.5 * dt * k2v, w=w)
-        k3x, k3v = step_rhs(kernel, mid2, None, 0.0)
+        k3x, k3v = rhs(mid2)
         end = Ensemble(x=cur.x + dt * k3x, v=cur.v + dt * k3v, w=w)
-        k4x, k4v = step_rhs(kernel, end, None, 0.0)
+        k4x, k4v = rhs(end)
         cur = Ensemble(
             x=cur.x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
             v=cur.v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
@@ -259,8 +260,9 @@ def test_criterion_09_finite_dim_consistency():
     e0 = uniform_box_ensemble(60, 0.0, 0.3, 0.0, 0.3, seed=5)
     res = complete_strategy_1d(kernel, e0, 0.5)
     kinetic = integrate(kernel, e0, res.plan, res.plan.t_end, dt_max=None)
-    agents = finite_dim_integrate(
-        kernel, e0.x, e0.v, res.plan, res.plan.t_end, dt_max=None
+    # the N-agent ODE system, coupled with equal weights 1/N
+    agents = integrate(
+        kernel, Ensemble.from_points(e0.x, e0.v), res.plan, res.plan.t_end, dt_max=None
     )
     np.testing.assert_array_equal(kinetic.final.x, agents.final.x)
     np.testing.assert_array_equal(kinetic.final.v, agents.final.v)

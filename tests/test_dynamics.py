@@ -14,10 +14,9 @@ from flockctrl import (
     Trajectory,
     TrajectorySample,
     decay_rate_estimate,
-    finite_dim_integrate,
     flocking_metrics,
     integrate,
-    step_rhs,
+    interaction_field,
     support_box,
     uniform_box_ensemble,
 )
@@ -142,21 +141,24 @@ class TestControlPlan:
 
 
 class TestStepRhs:
+    # the right-hand side of the characteristics is dx = v and dv = the
+    # field plus the active piece's force
     def test_flocked_equilibrium(self):
         e = uniform_box_ensemble(12, 0.0, 1.0, 0.3, 0.3, seed=2)
-        dx, dv = step_rhs(PowerLawKernel(), e, None, 0.0)
+        dx, dv = e.v, interaction_field(PowerLawKernel(), e.x, e.v, e.w)
         np.testing.assert_array_equal(dx, e.v)
         assert np.abs(dv).max() < 1e-15
 
     def test_two_particle_antisymmetric(self):
         e = Ensemble.from_points([0.0, 1.0], [0.0, 1.0])
-        _, dv = step_rhs(PowerLawKernel(1.0, 1.0), e, None, 0.0)
+        dv = interaction_field(PowerLawKernel(1.0, 1.0), e.x, e.v, e.w)
         np.testing.assert_allclose(dv[:, 0], [0.25, -0.25], atol=1e-15)
 
     def test_pure_control_single_particle(self):
         e = Ensemble.from_points([0.0], [1.0])
         piece = _mass_piece()  # v = 1.0 is in the upper plateau
-        _, dv = step_rhs(PowerLawKernel(), e, piece, 0.0)
+        dv = interaction_field(PowerLawKernel(), e.x, e.v, e.w)
+        piece.force(e.x, e.v, 0.0, add_to=dv)
         assert dv[0, 0] == pytest.approx(-1.0)
 
 
@@ -208,14 +210,17 @@ class TestIntegrate:
         w = e.w
         dt = -0.01
         cur = Ensemble(x=x, v=v, w=w)
+        def rhs(e):
+            return e.v, interaction_field(k, e.x, e.v, e.w)
+
         for _ in range(100):
-            k1x, k1v = step_rhs(k, cur, None, 0.0)
+            k1x, k1v = rhs(cur)
             mid1 = Ensemble(x=cur.x + 0.5 * dt * k1x, v=cur.v + 0.5 * dt * k1v, w=w)
-            k2x, k2v = step_rhs(k, mid1, None, 0.0)
+            k2x, k2v = rhs(mid1)
             mid2 = Ensemble(x=cur.x + 0.5 * dt * k2x, v=cur.v + 0.5 * dt * k2v, w=w)
-            k3x, k3v = step_rhs(k, mid2, None, 0.0)
+            k3x, k3v = rhs(mid2)
             end = Ensemble(x=cur.x + dt * k3x, v=cur.v + dt * k3v, w=w)
-            k4x, k4v = step_rhs(k, end, None, 0.0)
+            k4x, k4v = rhs(end)
             cur = Ensemble(
                 x=cur.x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
                 v=cur.v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
@@ -276,7 +281,7 @@ class TestFiniteDimIntegrate:
         e = Ensemble(x=x0, v=v0, w=np.full(30, 1.0 / 30))
         plan = ControlPlan(pieces=(_mass_piece(0.0, 0.5, vbar=0.5),))
         t1 = integrate(k, e, plan, 1.0, dt_max=0.01)
-        t2 = finite_dim_integrate(k, x0, v0, plan, 1.0, dt_max=0.01)
+        t2 = integrate(k, Ensemble.from_points(x0, v0), plan, 1.0, dt_max=0.01)
         np.testing.assert_array_equal(t1.final.x, t2.final.x)
         np.testing.assert_array_equal(t1.final.v, t2.final.v)
 

@@ -35,6 +35,24 @@ class TestTheorem3:
         assert v.in_region
         assert v.X_M == pytest.approx(-0.5 * math.log(0.2), abs=1e-9)
 
+    def test_xm_far_from_the_origin(self):
+        # spatial radius 1e6, where doubles are 1.2e-10 apart: coarser than
+        # the bisection tolerance
+        e = Ensemble.from_points([-1e6, 1e6], [-1e-8, 1e-8])
+        k = PowerLawKernel(1.0, 1.0)
+        v = theorem3_test(k, e)
+        assert v.in_region
+        assert 1e6 < v.X_M < math.inf
+        consumed = k.tail_integral(1e6) - k.tail_integral(v.X_M)
+        assert consumed == pytest.approx(1e-8, rel=1e-6)
+
+    def test_xm_beyond_the_bracket_is_infinite(self):
+        # gamma near 1/2: V0 = 22 < tail(0.5) = 24.9, yet tail(1e12) = 14.2
+        e = Ensemble.from_points([0.0, 1.0], [0.0, 44.0])
+        v = theorem3_test(PowerLawKernel(1.0, 0.51), e)
+        assert v.in_region
+        assert v.X_M == math.inf
+
     def test_divergent_kernel_unconditional(self):
         e = uniform_box_ensemble(10, 0.0, 1.0, -5.0, 5.0, seed=1)
         v = theorem3_test(PowerLawKernel(1.0, 0.4), e)

@@ -1,6 +1,10 @@
 """Kernel evaluation, tail integrals, and the nonlocal field."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,41 @@ class TestTailIntegral:
         for a in (0.0, 0.5, 2.0):
             ref, _ = quad(lambda x: k.phi(2.0 * x), a, math.inf, limit=200)
             assert k.tail_integral(a) == pytest.approx(ref, rel=1e-8)
+
+    # small tails, slowly decaying tails and gamma near 1/2, where quadrature
+    # drifts from 1e-4 to 100% off
+    @pytest.mark.parametrize("gamma, a", [
+        (5.5, 30.0), (7.3, 100.0), (4.0, 100.0), (3.0, 1e3), (10.0, 1e6),
+        (0.6, 1e6), (0.5000001, 1.0), (0.55, 10.0), (0.7, 1e8),
+    ])
+    def test_closed_form_matches_mpmath(self, gamma, a):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            g, x = mpmath.mpf(gamma), mpmath.mpf(a)
+            half = mpmath.mpf(1) / 2
+            # int_a^inf dx / (1 + 4x^2)^g = B(1 / (1 + 4a^2); g - 1/2, 1/2) / 4
+            ref = 1.3 * mpmath.betainc(g - half, half, 0, 1 / (1 + 4 * x * x)) / 4
+            assert PowerLawKernel(1.3, gamma).tail_integral(a) == pytest.approx(
+                float(ref), rel=1e-13
+            )
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
+    def test_gamma_three_halves_elementary(self, a):
+        # int_a^inf dx / (1 + 4x^2)^(3/2) = (1 - 2a / sqrt(1 + 4a^2)) / 2
+        ref = 0.5 * 1.3 * (1.0 - 2.0 * a / math.sqrt(1.0 + 4.0 * a * a))
+        assert PowerLawKernel(1.3, 1.5).tail_integral(a) == pytest.approx(ref, rel=1e-13)
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, flockctrl\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(kernels.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_nonincreasing_in_lower_limit(self):
         k = ExponentialKernel(2.0, 0.7)
