@@ -60,6 +60,7 @@ _INITIAL_KEYS = {
     "grid": {"kind", "x_low", "x_high", "v_low", "v_high", "counts_x", "counts_v"},
     "explicit": {"kind", "x", "v", "w"},
 }
+_KERNEL_NUMBERS = {"K", "gamma", "lam", "radii", "values"}
 
 
 class ConfigError(ValueError):
@@ -199,6 +200,9 @@ def validate_config(raw: str) -> Scenario:
     kernel = doc.get("kernel")
     if not isinstance(kernel, dict) or "family" not in kernel:
         errors.append("kernel spec with a 'family' field is required")
+    elif not all(_is_number(x) for k, val in kernel.items() if k in _KERNEL_NUMBERS
+                 for x in (val if isinstance(val, list) else [val])):
+        errors.append("kernel parameters must be finite numbers")
     else:
         try:
             kernel_from_dict(kernel)
@@ -266,6 +270,9 @@ def validate_config(raw: str) -> Scenario:
         e = _build_initial(initial)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"bad initial measure: {exc}"]) from exc
+    except MemoryError as exc:
+        asked = {k: initial[k] for k in ("particles", "counts_x", "counts_v") if k in initial}
+        raise ConfigError([f"initial measure {asked} does not fit in memory"]) from exc
     if not (np.all(np.isfinite(e.x)) and np.all(np.isfinite(e.v))):
         errors.append("initial positions and velocities must be finite")
     if e.d != dim:

@@ -219,6 +219,12 @@ def _run(scenario, replay):
 @example(scenario=dict(_MINIMAL, initial={"kind": "explicit", "x": [], "v": []}), replay=None)
 @example(scenario=dict(_MINIMAL, mode="mass", c=3.0), replay=None)
 @example(scenario=dict(_MINIMAL, horizon=None), replay=None)
+# a kernel parameter that is a string, once read as the number it spells
+@example(
+    scenario=dict(_MINIMAL,
+                  kernel={"family": "custom", "radii": ["0", "1"], "values": [1.0, 0.5]}),
+    replay=None,
+)
 # the certified threshold eta of so wide a support underflows to 0
 @example(
     scenario=dict(_MINIMAL, dimension=2, mode="mass", c=0.125,

@@ -387,6 +387,42 @@ class TestCli:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            {"family": "power_law", "K": "2", "gamma": 1.0},
+            {"family": "power_law", "K": True, "gamma": 1.0},
+            {"family": "exponential", "K": 1.0, "lam": "1e0"},
+            {"family": "custom", "radii": ["0", "1"], "values": [1.0, 0.5]},
+            {"family": "custom", "radii": [False, True], "values": [1.0, 0.5]},
+        ],
+        ids=["string_K", "boolean_K", "string_lam", "string_radii", "boolean_radii"],
+    )
+    def test_exit_two_on_kernel_parameters_that_are_not_numbers(self, tmp_path, capsys, kernel):
+        cfg = self._write_config(tmp_path, dict(MINIMAL, kernel=kernel))
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and "kernel parameters must be" in err
+        assert "Traceback" not in err
+
+    def test_exit_two_when_the_initial_measure_does_not_fit_in_memory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from flockctrl import runner
+
+        # what numpy raises for 10^10 particles, without allocating them
+        def too_large(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(runner, "_build_initial", too_large)
+        initial = dict(MINIMAL["initial"], particles=10_000_000_000)
+        cfg = self._write_config(tmp_path, dict(MINIMAL, initial=initial))
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1
+        assert "10000000000" in err and "memory" in err
+        assert "Traceback" not in err
+
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "absent.json")]) == 2
 
