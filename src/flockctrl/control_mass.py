@@ -350,7 +350,6 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
     records: list[StepRecord] = []
     pieces: list[ControlPiece] = []
     store = SampleStore(e0.d)
-    store.append(integrate(kernel, e0, ControlPlan(), 0.0, dt_max=0.01))
     e, t_end, W = e0, 0.0, support_box(e0).w
     phase_end_times = []
     for axis in axes:
@@ -367,6 +366,8 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
             pieces.extend(frag.pieces)
             t_end, W = rec.t_end, rec.W_after
         phase_end_times.append(t_end)
+    if not records:  # no step: the initial state, against no piece
+        store.record(0.0, e0.x, e0.v, e0.w, None, -1)
     plan = ControlPlan(pieces=tuple(pieces))
     traj = store.trajectory(e)
 
