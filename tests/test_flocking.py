@@ -44,7 +44,7 @@ class TestTheorem3:
         assert v.in_region
         assert 1e6 < v.X_M < math.inf
         consumed = k.tail_integral(1e6) - k.tail_integral(v.X_M)
-        assert consumed == pytest.approx(1e-8, rel=1e-6)
+        assert consumed == pytest.approx(1e-8, rel=1e-6, abs=0)
 
     def test_xm_beyond_the_bracket_is_infinite(self):
         # gamma near 1/2: V0 = 22 < tail(0.5) = 24.9, yet tail(1e12) = 14.2

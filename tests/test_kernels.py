@@ -99,15 +99,16 @@ class TestTailIntegral:
             half = mpmath.mpf(1) / 2
             # int_a^inf dx / (1 + 4x^2)^g = B(1 / (1 + 4a^2); g - 1/2, 1/2) / 4
             ref = 1.3 * mpmath.betainc(g - half, half, 0, 1 / (1 + 4 * x * x)) / 4
+            # abs=0: approx would otherwise pass any tail below 1e-12
             assert PowerLawKernel(1.3, gamma).tail_integral(a) == pytest.approx(
-                float(ref), rel=1e-13
+                float(ref), rel=1e-13, abs=0
             )
 
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
     def test_gamma_three_halves_elementary(self, a):
         # int_a^inf dx / (1 + 4x^2)^(3/2) = (1 - 2a / sqrt(1 + 4a^2)) / 2
         ref = 0.5 * 1.3 * (1.0 - 2.0 * a / math.sqrt(1.0 + 4.0 * a * a))
-        assert PowerLawKernel(1.3, 1.5).tail_integral(a) == pytest.approx(ref, rel=1e-13)
+        assert PowerLawKernel(1.3, 1.5).tail_integral(a) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_import_loads_no_scipy(self):
         code = (
