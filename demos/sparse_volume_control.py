@@ -36,7 +36,7 @@ print(f"velocity extent         {float(box0.w[0]):.4f} -> {float(box1.w[0]):.6f}
 print(f"spatial extent          {float(box0.y[0]):.4f} -> {float(box1.y[0]):.4f} "
       f"(guaranteed <= {float(box0.y[0]) + float(box0.w[0]) ** 2:.4f})")
 
-worst_area = max(r.omega_area for r in result.records)
+worst_area = max(r.max_omega_area for r in result.records)
 print(f"worst band area         {worst_area:.4f} (budget c = {c})")
 print(f"terminal certificate    {result.terminal_verdict.in_region}")
 

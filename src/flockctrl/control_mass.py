@@ -81,12 +81,12 @@ class StepParams:
 class StepRecord:
     """Audit of one executed fundamental step, of either budget.
 
-    A mass-budget step fills the fields up to ``div_v_bound``; a volume-budget
-    step has ``SpaceStepParams``, ``omega_area`` and 1-element boxes, and
-    leaves the mass-only fields None.
+    ``params`` is a ``StepParams`` or a ``control_space.SpaceStepParams``.
+    The ``max_*`` fields are the worst values over the step's samples; the
+    drift is that of the velocity barycenter on the step's axis.
     """
 
-    params: StepParams  # or control_space.SpaceStepParams
+    params: StepParams
     t_start: float
     t_end: float
     W_before: np.ndarray
@@ -94,10 +94,9 @@ class StepRecord:
     Y_before: np.ndarray
     Y_after: np.ndarray
     max_u_sup: float
-    max_mass_in_omega: float | None = None
-    max_vbar_drift: float | None = None
-    div_v_bound: float | None = None  # analytic sup of |d u / d v| + 1 for the built ramp
-    omega_area: float | None = None  # volume budget: band area, at most c
+    max_mass_in_omega: float
+    max_omega_area: float
+    max_vbar_drift: float
 
 
 @dataclass
@@ -249,6 +248,43 @@ def build_control_piece(
     )
 
 
+def _fly_step(kernel, e, box, params, pieces, dt, axis, W_target):
+    """Fly a step's pieces from e (support box ``box``) and run the audits both budgets share:
+    W_after <= W_target (+slack) on ``axis``, and the velocity interval on ``axis`` inside
+    [v_lo, v_lo + W0] at every sample.  Returns what ``fundamental_step`` does."""
+    t_start = pieces[0].t_start
+    frag = ControlPlan(pieces=tuple(pieces))
+    traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)
+    cols = traj.columns
+    # the last sample is the final state
+    W_after, Y_after = cols.W[-1].copy(), cols.Y[-1].copy()
+    if W_after[axis] > W_target + _CONTRACTION_SLACK:
+        raise ContractionError(
+            f"step on axis {axis} contracted W to {W_after[axis]:.9f}, "
+            f"above the guaranteed {W_target:.9f}"
+        )
+    v_lo = float(box.v_shift[axis])
+    lo = cols.v_shift[:, axis]
+    if np.any(lo < v_lo - _BOX_SLACK):
+        raise ContractionError("lower velocity edge dropped during step")
+    if np.any(lo + cols.W[:, axis] > v_lo + params.W0 + _BOX_SLACK):
+        raise ContractionError("upper velocity edge rose during step")
+    record = StepRecord(
+        params=params,
+        t_start=t_start,
+        t_end=frag.t_end,
+        W_before=box.w.copy(),
+        W_after=W_after,
+        Y_before=box.y.copy(),
+        Y_after=Y_after,
+        max_u_sup=float(cols.u_sup.max()),
+        max_mass_in_omega=float(cols.mass.max()),
+        max_omega_area=float(cols.area.max()),
+        max_vbar_drift=float(np.abs(cols.vbar[:, axis] - (v_lo + params.vbar0)).max()),
+    )
+    return traj.final, record, frag, traj
+
+
 def fundamental_step(
     kernel: Kernel,
     e: Ensemble,
@@ -259,64 +295,23 @@ def fundamental_step(
 ):
     """Execute one fundamental step on the given axis.
 
-    Renormalizes the support box, builds the n-piece sweep, integrates over
-    [t_start, t_start + T0], audits the constraints at every sample, and
-    enforces the guaranteed contraction W_after <= W_before - T0/n (+slack)
-    together with invariance of the velocity box on the controlled axis.
-
-    Returns (ensemble after the step, StepRecord, plan fragment, Trajectory).
-    By default each piece is integrated with two RK4 steps: the per-piece
-    duration is at most beta0/(2 c n), small against the 1/beta0 force
-    stiffness, and the contraction audit below rejects the step if
-    discretization ever eats the analytic margin.
+    Renormalizes the support box and flies the n-piece sweep, which must
+    contract W to W_before - T0/n (+slack), keep the velocity box and move
+    the barycenter at most beta0/2.  Returns (ensemble after the step, StepRecord, plan
+    fragment, Trajectory).  By default each piece takes two RK4 steps: a
+    piece lasts at most beta0/(2 c n), small against the 1/beta0 force
+    stiffness, and the contraction audit rejects the step if discretization
+    ever eats the analytic margin.
     """
     box = support_box(e)
-    en = normalized(e, box)
-    params = axis_step_params(kernel, en, axis, c)
+    params = axis_step_params(kernel, normalized(e, box), axis, c)
     dt = dt_max if dt_max is not None else params.T0 / (2 * params.n)
-    pieces = [
-        build_control_piece(params, i, t_start, box, dt=dt)
-        for i in range(1, params.n + 1)
-    ]
-    frag = ControlPlan(pieces=tuple(pieces))
-    traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)
-
-    cols = traj.columns
-    vbar_ref = float(box.v_shift[axis]) + params.vbar0
-    max_mass = float(cols.mass.max())
-    max_u = float(cols.u_sup.max())
-    max_drift = float(np.abs(cols.vbar[:, axis] - vbar_ref).max())
-    # the last sample is the final state
-    W_after, Y_after = cols.W[-1].copy(), cols.Y[-1].copy()
-
+    pieces = [build_control_piece(params, i, t_start, box, dt=dt) for i in range(1, params.n + 1)]
     target = params.W0 - params.T0 / params.n
-    if W_after[axis] > target + _CONTRACTION_SLACK:
-        raise ContractionError(
-            f"step on axis {axis} contracted W to {W_after[axis]:.9f}, "
-            f"above the guaranteed {target:.9f}"
-        )
-    v_lo = float(box.v_shift[axis])
-    lo = cols.v_shift[:, axis]
-    hi = lo + cols.W[:, axis]
-    if np.any(lo < v_lo - _BOX_SLACK) or np.any(hi > v_lo + params.W0 + _BOX_SLACK):
-        raise ContractionError("velocity box invariance violated during step")
-    if max_drift > params.beta0 / 2.0 + _BOX_SLACK:
+    final, record, frag, traj = _fly_step(kernel, e, box, params, pieces, dt, axis, target)
+    if record.max_vbar_drift > params.beta0 / 2.0 + _BOX_SLACK:
         raise ContractionError("barycenter drifted beyond beta0/2 during step")
-
-    record = StepRecord(
-        params=params,
-        t_start=t_start,
-        t_end=frag.t_end,
-        W_before=box.w.copy(),
-        W_after=W_after,
-        Y_before=box.y.copy(),
-        Y_after=Y_after,
-        max_mass_in_omega=max_mass,
-        max_u_sup=max_u,
-        max_vbar_drift=max_drift,
-        div_v_bound=1.0 / params.beta0 + 1.0,
-    )
-    return traj.final, record, frag, traj
+    return final, record, frag, traj
 
 
 def theorem4_threshold(kernel: Kernel, Y0: float, W0: float, c: float) -> float:

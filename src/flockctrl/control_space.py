@@ -17,21 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .control_mass import (
+    _BOX_SLACK,
     AlreadyFlockedSignal,
     ContractionError,
     DegenerateMeasureError,
-    StepRecord,
     StrategyResult,
+    _fly_step,
     _synthesize,
 )
-from .dynamics import ControlPiece, ControlPlan, SpaceBand, integrate
+from .dynamics import ControlPiece, SpaceBand
 from .ensemble import Ensemble, normalized, support_box
 from .kernels import Kernel
-
-_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,14 +111,14 @@ def fundamental_step_space(
 ):
     """Execute one volume-budget step: a single band piece of duration eps0.
 
-    Audits band area <= c (exact arithmetic on the rectangle), |u| <= 1, and
-    the guaranteed bounds W_after <= W0 - eps0 and Y_after <= Y0 + eps0*W0.
+    ``control_mass._fly_step`` flies it and enforces W_after <= W0 - eps0
+    and invariance of the velocity box; this step audits the band area <= c
+    at every sample and Y_after <= Y0 + eps0*W0.
 
     Returns (ensemble after the step, StepRecord, plan fragment, Trajectory).
     """
     box = support_box(e)
-    en = normalized(e, box)
-    params = space_step_params(kernel, en, c)
+    params = space_step_params(kernel, normalized(e, box), c)
     dt = dt_max if dt_max is not None else params.T0 / 4.0
     piece = ControlPiece(
         t_start=t_start,
@@ -134,37 +131,13 @@ def fundamental_step_space(
         params={"eps": params.eps0, "y0": params.Y0, "w0": params.W0},
         dt=dt,
     )
-    frag = ControlPlan(pieces=(piece,))
-    traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)
-
-    if params.omega_area > c:
-        raise ContractionError("band area exceeds the budget after shrink")
-    cols = traj.columns
-    max_u = float(cols.u_sup.max())
-    # the last sample is the final state
-    W_after, Y_after = cols.W[-1].copy(), cols.Y[-1].copy()
-    if W_after[0] > params.W0 - params.eps0 + _SLACK:
-        raise ContractionError(
-            f"step contracted W to {W_after[0]:.9f}, above the guaranteed "
-            f"{params.W0 - params.eps0:.9f}"
-        )
-    if Y_after[0] > params.Y0 + params.eps0 * params.W0 + _SLACK:
+    target = params.W0 - params.eps0
+    final, record, frag, traj = _fly_step(kernel, e, box, params, [piece], dt, 0, target)
+    if record.max_omega_area > c:
+        raise ContractionError("band area exceeded the budget during step")
+    if record.Y_after[0] > params.Y0 + params.eps0 * params.W0 + _BOX_SLACK:
         raise ContractionError("spatial spread exceeded the per-step bound")
-    if np.any(cols.v_shift[:, 0] < float(box.v_shift[0]) - _SLACK):
-        raise ContractionError("lower velocity edge dropped during step")
-
-    record = StepRecord(
-        params=params,
-        t_start=t_start,
-        t_end=frag.t_end,
-        W_before=box.w.copy(),
-        W_after=W_after,
-        Y_before=box.y.copy(),
-        Y_after=Y_after,
-        max_u_sup=max_u,
-        omega_area=params.omega_area,
-    )
-    return traj.final, record, frag, traj
+    return final, record, frag, traj
 
 
 def theorem6_threshold(kernel: Kernel, Y0: float, W0: float) -> float:

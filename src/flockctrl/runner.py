@@ -71,6 +71,13 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+# per mode, the StepRecord fields whose worst value over the steps the summary reports
+_WORST_AUDITS = {
+    "mass": ("max_mass_in_omega", "max_u_sup", "max_vbar_drift"),
+    "volume": ("max_omega_area", "max_u_sup"),
+}
+
+
 class StrategyFailure(RuntimeError):
     """A synthesis, flight or replay failed after validation; no artifacts are written."""
 
@@ -375,14 +382,9 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     safe_pass = 2.0 * v_tilde <= s.safety_factor * verdict_after.threshold
     success = bool(safe_pass and (decay > 0.0 or v_tilde == 0.0))
 
-    worst: dict = {}
-    if records and s.mode == "volume":
-        worst["max_omega_area"] = max(r.omega_area for r in records)
-        worst["max_u_sup"] = max(r.max_u_sup for r in records)
-    elif records:
-        worst["max_mass_in_omega"] = max(r.max_mass_in_omega for r in records)
-        worst["max_u_sup"] = max(r.max_u_sup for r in records)
-        worst["max_vbar_drift"] = max(r.max_vbar_drift for r in records)
+    worst = {}
+    if records:
+        worst = {name: max(getattr(r, name) for r in records) for name in _WORST_AUDITS[s.mode]}
 
     summary = RunSummary(
         mode=s.mode,

@@ -194,7 +194,7 @@ def test_criterion_06_volume_strategy(volume_desk):
     _, e0, res, wall = volume_desk
     box0 = support_box(e0)
     y0, w0 = float(box0.y[0]), float(box0.w[0])
-    assert max(r.omega_area for r in res.records) <= 1.0
+    assert max(r.max_omega_area for r in res.records) <= 1.0
     assert res.total_control_time <= w0 + 1e-3
     assert float(support_box(res.final).y[0]) <= y0 + w0 * w0 + 1e-3
     for r in res.records:

@@ -140,7 +140,6 @@ class TestFundamentalStep:
         assert rec.max_mass_in_omega <= c + 2.0 * e.w.max()
         assert rec.max_u_sup <= 1.0 + 1e-12
         assert rec.max_vbar_drift <= rec.params.beta0 / 2.0 + 1e-6
-        assert rec.div_v_bound == pytest.approx(1.0 / rec.params.beta0 + 1.0)
         assert frag.total_control_time() == pytest.approx(rec.params.T0)
 
     def test_dimension_guard(self):

@@ -115,7 +115,7 @@ class TestFundamentalStepSpace:
         e = uniform_box_ensemble(200, 0.0, 0.4, 0.0, 0.6, seed=7)
         e1, rec, frag, traj = fundamental_step_space(ExponentialKernel(1.0, 1.0), e, 1.0)
         p = rec.params
-        assert rec.omega_area <= 1.0
+        assert rec.max_omega_area <= 1.0
         assert rec.max_u_sup <= 1.0 + 1e-12
         assert rec.W_after[0] <= p.W0 - p.eps0 + 1e-6
         assert rec.Y_after[0] <= p.Y0 + p.eps0 * p.W0 + 1e-6
@@ -155,7 +155,7 @@ class TestCompleteStrategySpace:
         W0, Y0 = float(box.w[0]), float(box.y[0])
         assert res.total_control_time <= W0 + 1e-9
         assert support_box(res.final).y[0] <= Y0 + W0 * W0 + 1e-6
-        assert max(r.omega_area for r in res.records) <= 1.0
+        assert max(r.max_omega_area for r in res.records) <= 1.0
 
     def test_plan_is_contiguous(self, run):
         _, _, res = run
