@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlPiece, ControlPlan, SampleStore, integrate
+from .dynamics import ControlPiece, ControlPlan, SampleStore, Trajectory, integrate
 from .ensemble import (
     Ensemble,
     SupportBox,
@@ -296,8 +296,9 @@ def fundamental_step(
     """Execute one fundamental step on the given axis.
 
     Renormalizes the support box and flies the n-piece sweep, which must
-    contract W to W_before - T0/n (+slack), keep the velocity box and move
-    the barycenter at most beta0/2.  Returns (ensemble after the step, StepRecord, plan
+    contract W to W_before - T0/n (+slack), keep the velocity box, move the
+    barycenter at most beta0/2 and put mass at most c + 2 max(w) in the
+    control set.  Returns (ensemble after the step, StepRecord, plan
     fragment, Trajectory).  By default each piece takes two RK4 steps: a
     piece lasts at most beta0/(2 c n), small against the 1/beta0 force
     stiffness, and the contraction audit rejects the step if discretization
@@ -311,6 +312,8 @@ def fundamental_step(
     final, record, frag, traj = _fly_step(kernel, e, box, params, pieces, dt, axis, target)
     if record.max_vbar_drift > params.beta0 / 2.0 + _BOX_SLACK:
         raise ContractionError("barycenter drifted beyond beta0/2 during step")
+    if record.max_mass_in_omega > c + 2.0 * float(e.w.max()) + _MASS_TOL:
+        raise ContractionError("control set carried mass beyond c + 2 max(w) during step")
     return final, record, frag, traj
 
 

@@ -1,18 +1,24 @@
 """Mass-budget control synthesis: step geometry, contraction, strategies."""
 
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
 
+import flockctrl
 from flockctrl import (
     AlreadyFlockedSignal,
+    ContractionError,
     DegenerateMeasureError,
     Ensemble,
     ExponentialKernel,
     PowerLawKernel,
+    SampleColumns,
     StepRecord,
     StrategyBudgetError,
+    StrategyResult,
     SupportBox,
     TabulatedKernel,
     axis_step_params,
@@ -20,7 +26,10 @@ from flockctrl import (
     complete_strategy_1d,
     complete_strategy_multi_d,
     complete_strategy_space,
+    Trajectory,
+    control_mass,
     fundamental_step,
+    fundamental_step_space,
     grid_ensemble,
     normalized,
     support_box,
@@ -146,6 +155,68 @@ class TestFundamentalStep:
         e = uniform_box_ensemble(20, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], seed=1)
         with pytest.raises(ValueError):
             complete_strategy_1d(PowerLawKernel(), e, 0.5)
+
+
+def _mass_step():
+    e = uniform_box_ensemble(60, 0.0, 1.0, 0.0, 1.0, seed=7)
+    return fundamental_step(PowerLawKernel(1.0, 1.0), e, 0.5)
+
+
+def _volume_step():
+    e = uniform_box_ensemble(40, 0.0, 1.0, 0.0, 1.0, seed=7)
+    return fundamental_step_space(PowerLawKernel(1.0, 1.0), e, 1.0)
+
+
+class TestStepAuditsFire:
+    """Each audit of a step rejects a trajectory with one sample column doctored."""
+
+    @staticmethod
+    def _doctor(monkeypatch, column, row, delta):
+        real = control_mass.integrate
+
+        def integrate(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            cols = SampleColumns(*(a.copy() for a in traj.columns))
+            getattr(cols, column)[row] += delta
+            return Trajectory(cols, traj.final)
+
+        monkeypatch.setattr(control_mass, "integrate", integrate)
+
+    @pytest.mark.parametrize("step", [_mass_step, _volume_step], ids=["mass", "volume"])
+    def test_undoctored_copy_passes(self, monkeypatch, step):
+        self._doctor(monkeypatch, "t", 0, 0.0)
+        step()
+
+    @pytest.mark.parametrize(
+        "step, column, row, delta, message",
+        [
+            (_mass_step, "W", -1, 1.0, "contracted W to"),
+            (_volume_step, "W", -1, 1.0, "contracted W to"),
+            (_mass_step, "v_shift", 0, -1e-3, "lower velocity edge dropped"),
+            (_volume_step, "v_shift", 0, -1e-3, "lower velocity edge dropped"),
+            (_mass_step, "W", 0, 1e-3, "upper velocity edge rose"),
+            (_volume_step, "W", 0, 1e-3, "upper velocity edge rose"),
+            (_mass_step, "vbar", 0, 1.0, "barycenter drifted"),
+            (_mass_step, "mass", 0, 1.0, "control set carried mass"),
+            (_volume_step, "area", 0, 1.0, "band area exceeded"),
+            (_volume_step, "Y", -1, 1.0, "spatial spread exceeded"),
+        ],
+        ids=["contraction-mass", "contraction-volume", "lower-edge-mass", "lower-edge-volume",
+             "upper-edge-mass", "upper-edge-volume", "drift", "mass-budget", "area-budget",
+             "spread"],
+    )
+    def test_audit_raises_its_own_message(self, monkeypatch, step, column, row, delta, message):
+        self._doctor(monkeypatch, column, row, delta)
+        with pytest.raises(ContractionError, match=message):
+            step()
+
+
+def test_type_hints_of_exported_dataclasses_resolve():
+    exported = [getattr(flockctrl, name) for name in dir(flockctrl)]
+    classes = [c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert StrategyResult in classes
+    for cls in classes:
+        assert typing.get_type_hints(cls)
 
 
 @pytest.fixture(scope="module")
