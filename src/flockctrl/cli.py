@@ -13,7 +13,9 @@ import json
 import os
 import sys
 
-from .runner import ConfigError, StrategyFailure, replay_plan, run_scenario, validate_config
+from .runner import (
+    ConfigError, StrategyFailure, dump_json, replay_plan, run_scenario, validate_config,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +87,7 @@ def main(argv=None) -> int:
     except StrategyFailure as exc:
         print(f"strategy failure: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    dump_json(summary.to_dict(), sys.stdout)
     return 0
 
 

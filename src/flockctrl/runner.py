@@ -313,10 +313,28 @@ def _box_dict(box) -> dict:
     }
 
 
+def dump_json(doc, fh) -> None:
+    """Write ``doc`` to the text file ``fh`` as strict JSON, indented, with sorted
+    keys, and a newline.  JSON has no non-finite number, so such a float goes
+    out as the string "Infinity", "-Infinity" or "NaN"."""
+
+    def strict(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            return json.dumps(x)  # the bare token, as a string
+        if isinstance(x, dict):
+            return {k: strict(val) for k, val in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(val) for val in x]
+        return x
+
+    # streamed: a whole volume-budget plan.json as one string is megabytes
+    json.dump(strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        dump_json(doc, fh)
 
 
 def _free_flight(kernel, e, t0, horizon, dt_max):

@@ -1,6 +1,8 @@
 """Scenario validation, orchestration, artifacts, replay, and CLI exit codes."""
 
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from flockctrl import (
     validate_config,
 )
 from flockctrl.cli import main as cli_main
+from flockctrl.runner import dump_json
 
 MINIMAL = {
     "schema_version": 1,
@@ -340,6 +343,13 @@ class TestReplay:
         assert w_final <= 2.0 * w_orig
 
 
+def test_dump_json_writes_each_non_finite_float_as_a_string():
+    fh = io.StringIO()
+    dump_json({"a": [math.inf, -math.inf, math.nan], "b": (1.5, {"c": 2})}, fh)
+    expected = {"a": ["Infinity", "-Infinity", "NaN"], "b": [1.5, {"c": 2}]}
+    assert json.loads(fh.getvalue()) == expected
+
+
 class TestCli:
     def _write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
@@ -351,6 +361,32 @@ class TestCli:
         assert cli_main(["--config", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["success"] is True
+
+    @pytest.mark.parametrize(
+        "kernel, initial, infinite",
+        [
+            # gamma near 1/2: the certificate's asymptotic spatial bound X_M is infinite
+            ({"family": "power_law", "K": 1.0, "gamma": 0.51},
+             {"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 44.0]}, ["X_M"]),
+            # a tabulated ("custom") kernel has an infinite tail integral, threshold and margin
+            ({"family": "custom", "radii": [0.0, 10.0], "values": [1.0, 0.5]},
+             MINIMAL["initial"], ["threshold", "margin"]),
+        ],
+        ids=["power_law_X_M", "tabulated_threshold"],
+    )
+    def test_infinite_values_are_written_as_strict_json(
+        self, tmp_path, capsys, kernel, initial, infinite
+    ):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        out_dir = tmp_path / "art"
+        doc = dict(MINIMAL, kernel=kernel, initial=initial, out=str(out_dir))
+        assert cli_main(["--config", self._write_config(tmp_path, doc)]) == 0
+        for text in (capsys.readouterr().out, (out_dir / "summary.json").read_text()):
+            summary = json.loads(text, parse_constant=reject)
+            for key in infinite:
+                assert summary["verdict_before"][key] == "Infinity"
 
     def test_exit_two_on_bad_config(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, dict(MINIMAL, mode="mass"))  # no c
