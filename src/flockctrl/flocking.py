@@ -94,10 +94,8 @@ def finite_dim_test(kernel: Kernel, e: Ensemble) -> FlockingVerdict:
     The right-hand side uses phi(x), not phi(2x): with the change of variable
     x = 2s it equals 2 * tail_integral(Gamma / 2).
     """
-    xbar = e.w @ e.x
-    vbar = e.w @ e.v
-    gamma = float(e.w @ np.einsum("ij,ij->i", e.x - xbar, e.x - xbar))
-    lam = float(e.w @ np.einsum("ij,ij->i", e.v - vbar, e.v - vbar))
+    m = flocking_metrics(e)
+    gamma = float(e.w @ np.einsum("ij,ij->i", e.x - m.xbar, e.x - m.xbar))
     threshold = 2.0 * kernel.tail_integral(gamma / 2.0)
-    margin = threshold - lam
-    return FlockingVerdict(in_region=lam < threshold, threshold=threshold, margin=margin)
+    margin = threshold - m.Lambda
+    return FlockingVerdict(in_region=m.Lambda < threshold, threshold=threshold, margin=margin)
