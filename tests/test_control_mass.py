@@ -21,12 +21,12 @@ from flockctrl import (
     StrategyResult,
     SupportBox,
     TabulatedKernel,
+    Trajectory,
     axis_step_params,
     build_control_piece,
     complete_strategy_1d,
     complete_strategy_multi_d,
     complete_strategy_space,
-    Trajectory,
     control_mass,
     fundamental_step,
     fundamental_step_space,
