@@ -23,7 +23,6 @@ from .control_mass import (
     theorem5_threshold,
 )
 from .control_space import (
-    SpaceStepParams,
     complete_strategy_space,
     fundamental_step_space,
     space_step_params,

@@ -60,7 +60,12 @@ class ContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepParams:
-    """Geometry of one fundamental step on one axis, in the normalized frame."""
+    """Geometry of one fundamental step on one axis, in the normalized frame.
+
+    The step sweeps n columns, cut at ``cuts``, in slots of T0/n and
+    contracts W on the axis by at least T0/n.  A volume-budget step is one
+    column, [0, Y0], with T0 = eps0.
+    """
 
     axis: int
     c: float
@@ -72,7 +77,6 @@ class StepParams:
     beta0: float
     n: int
     cuts: np.ndarray  # n+1 column boundaries
-    slice_masses: np.ndarray
     eps0: float
     T0: float
 
@@ -81,7 +85,6 @@ class StepParams:
 class StepRecord:
     """Audit of one executed fundamental step, of either budget.
 
-    ``params`` is a ``StepParams`` or a ``control_space.SpaceStepParams``.
     The ``max_*`` fields are the worst values over the step's samples; the
     drift is that of the velocity barycenter on the step's axis.
     """
@@ -153,6 +156,19 @@ def _largest_widening(coords, w, cuts, c):
     return 0.5 * (prev + b_viol)
 
 
+def _band_offsets(kernel: Kernel, diam: float, spread: float):
+    """(alpha0, beta0): the band offsets from the barycenter, for a step whose
+    spatial-diameter surrogate is ``diam`` and whose velocity spread about the
+    barycenter is ``spread``."""
+    phi0 = kernel.phi0
+    phid = float(kernel.phi(diam))
+    alpha0 = phi0 / (phi0 + phid) * spread
+    beta0 = phid / (phi0 + phid) / 3.0 * spread
+    if beta0 <= 0.0:
+        raise DegenerateMeasureError("velocity barycenter sits on the support edge")
+    return alpha0, beta0
+
+
 def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepParams:
     """Step geometry for one axis of a normalized ensemble.
 
@@ -170,17 +186,10 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
 
     diam = float(np.linalg.norm(Y + W))
     vbar0 = float(e.w @ e.v[:, axis])
-    phi0 = kernel.phi0
-    phid = float(kernel.phi(diam))
-    ratio_a = phi0 / (phi0 + phid)
-    ratio_b = phid / (phi0 + phid) / 3.0
-    alpha0 = ratio_a * max(W0 - vbar0, vbar0)
-    beta0 = ratio_b * max(W0 - vbar0, vbar0)
-    if beta0 <= 0.0:
-        raise DegenerateMeasureError("velocity barycenter sits on the support edge")
+    alpha0, beta0 = _band_offsets(kernel, diam, max(W0 - vbar0, vbar0))
 
     n = math.ceil(2.0 / c)
-    cuts, slice_masses = mass_quantile_cuts(e, axis, c / 2.0, n)
+    cuts = mass_quantile_cuts(e, axis, c / 2.0, n)[0]
 
     coords = e.x[:, axis]
     eps0 = _largest_widening(coords, e.w, cuts, c)
@@ -210,7 +219,6 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
         beta0=beta0,
         n=n,
         cuts=cuts,
-        slice_masses=slice_masses,
         eps0=eps0,
         T0=T0,
     )
@@ -248,10 +256,11 @@ def build_control_piece(
     )
 
 
-def _fly_step(kernel, e, box, params, pieces, dt, axis, W_target):
+def _fly_step(kernel, e, box, params, pieces, dt):
     """Fly a step's pieces from e (support box ``box``) and run the audits both budgets share:
-    W_after <= W_target (+slack) on ``axis``, and the velocity interval on ``axis`` inside
-    [v_lo, v_lo + W0] at every sample.  Returns what ``fundamental_step`` does."""
+    W_after <= W0 - T0/n (+slack) on the step's axis, and the velocity interval on that axis
+    inside [v_lo, v_lo + W0] at every sample.  Returns what ``fundamental_step`` does."""
+    axis, W_target = params.axis, params.W0 - params.T0 / params.n
     t_start = pieces[0].t_start
     frag = ControlPlan(pieces=tuple(pieces))
     traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)
@@ -308,8 +317,7 @@ def fundamental_step(
     params = axis_step_params(kernel, normalized(e, box), axis, c)
     dt = dt_max if dt_max is not None else params.T0 / (2 * params.n)
     pieces = [build_control_piece(params, i, t_start, box, dt=dt) for i in range(1, params.n + 1)]
-    target = params.W0 - params.T0 / params.n
-    final, record, frag, traj = _fly_step(kernel, e, box, params, pieces, dt, axis, target)
+    final, record, frag, traj = _fly_step(kernel, e, box, params, pieces, dt)
     if record.max_vbar_drift > params.beta0 / 2.0 + _BOX_SLACK:
         raise ContractionError("barycenter drifted beyond beta0/2 during step")
     if record.max_mass_in_omega > c + 2.0 * float(e.w.max()) + _MASS_TOL:

@@ -15,14 +15,17 @@ by at most W0^2.  The band's force, membership and area are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .control_mass import (
     _BOX_SLACK,
     AlreadyFlockedSignal,
     ContractionError,
     DegenerateMeasureError,
+    StepParams,
     StrategyResult,
+    _band_offsets,
     _fly_step,
     _synthesize,
 )
@@ -31,23 +34,9 @@ from .ensemble import Ensemble, normalized, support_box
 from .kernels import Kernel
 
 
-@dataclass(frozen=True)
-class SpaceStepParams:
-    """Geometry of one volume-budget step, in the normalized frame."""
-
-    c: float
-    Y0: float
-    W0: float
-    vbar0: float
-    alpha0: float
-    beta0: float
-    eps0: float
-    T0: float  # equal to eps0 by construction
-    omega_area: float
-
-
-def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> SpaceStepParams:
-    """Band geometry for a normalized 1D ensemble under area budget c.
+def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> StepParams:
+    """Band geometry for a normalized 1D ensemble under area budget c: one
+    column, [0, Y0], swept for T0 = eps0, with the distance bound Y0 + W0.
 
     eps0 is the stated closed form min(beta0/2, (sqrt(Y0^2 + 2c(W0+1)) -
     Y0) / (2(W0+2))); if the resulting band area still exceeds c (the two
@@ -63,12 +52,7 @@ def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> SpaceStepParams:
     if W0 <= 0.0:
         raise AlreadyFlockedSignal("velocity support is a point")
     vbar0 = float(e.w @ e.v[:, 0])
-    phi0 = kernel.phi0
-    phid = float(kernel.phi(Y0 + W0))
-    alpha0 = phi0 / (phi0 + phid) * (W0 - vbar0)
-    beta0 = phid / (phi0 + phid) / 3.0 * (W0 - vbar0)
-    if beta0 <= 0.0:
-        raise DegenerateMeasureError("velocity barycenter sits on the support edge")
+    alpha0, beta0 = _band_offsets(kernel, Y0 + W0, W0 - vbar0)
 
     def band_area(eps):
         return SpaceBand.area({"eps": eps, "y0": Y0, "w0": W0})
@@ -89,17 +73,8 @@ def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> SpaceStepParams:
     if eps0 <= 0.0:
         raise DegenerateMeasureError("no positive band width fits the area budget")
 
-    return SpaceStepParams(
-        c=c,
-        Y0=Y0,
-        W0=W0,
-        vbar0=vbar0,
-        alpha0=alpha0,
-        beta0=beta0,
-        eps0=eps0,
-        T0=eps0,
-        omega_area=band_area(eps0),
-    )
+    return StepParams(axis=0, c=c, Y0=Y0, W0=W0, diam=Y0 + W0, vbar0=vbar0, alpha0=alpha0,
+                      beta0=beta0, n=1, cuts=np.array([0.0, Y0]), eps0=eps0, T0=eps0)
 
 
 def fundamental_step_space(
@@ -111,7 +86,7 @@ def fundamental_step_space(
 ):
     """Execute one volume-budget step: a single band piece of duration eps0.
 
-    ``control_mass._fly_step`` flies it and enforces W_after <= W0 - eps0
+    ``control_mass._fly_step`` flies it and enforces W_after <= W0 - T0/n = W0 - eps0
     and invariance of the velocity box; this step audits the band area <= c
     at every sample and Y_after <= Y0 + eps0*W0.
 
@@ -131,8 +106,7 @@ def fundamental_step_space(
         params={"eps": params.eps0, "y0": params.Y0, "w0": params.W0},
         dt=dt,
     )
-    target = params.W0 - params.eps0
-    final, record, frag, traj = _fly_step(kernel, e, box, params, [piece], dt, 0, target)
+    final, record, frag, traj = _fly_step(kernel, e, box, params, [piece], dt)
     if record.max_omega_area > c:
         raise ContractionError("band area exceeded the budget during step")
     if record.Y_after[0] > params.Y0 + params.eps0 * params.W0 + _BOX_SLACK:

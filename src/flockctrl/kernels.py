@@ -9,6 +9,7 @@ flock on their own from those that need to be controlled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,16 +36,22 @@ class Kernel:
     """Base class: positive nonincreasing influence function."""
 
     def phi(self, r):
-        """Evaluate phi(r); accepts scalars or arrays, r >= 0."""
-        raise NotImplementedError
+        """Evaluate phi(r); accepts scalars or arrays, r >= 0.
 
-    @property
+        phi is ``phi_sq_inplace`` of a fresh r * r array (0-d for a scalar,
+        which gives back a float).
+        """
+        r = _check_radius(r)
+        out = self.phi_sq_inplace(np.multiply(r, r, out=np.empty(r.shape)))
+        return float(out) if out.ndim == 0 else out
+
+    @functools.cached_property
     def phi0(self) -> float:
         return float(self.phi(0.0))
 
     def phi_sq_inplace(self, r2: np.ndarray) -> np.ndarray:
         """phi at sqrt(r2), the hot path of pairwise fields; may overwrite r2."""
-        return np.asarray(self.phi(np.sqrt(r2)))
+        raise NotImplementedError
 
     @property
     def tail_diverges(self) -> bool:
@@ -72,24 +79,10 @@ class PowerLawKernel(Kernel):
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError("gamma must be a nonnegative finite number")
 
-    def phi(self, r):
-        r = _check_radius(r)
-        base = 1.0 + r * r
-        # integer exponents avoid the generic pow, the dominant cost in
-        # pairwise field evaluation
-        if self.gamma == 1.0:
-            out = self.K / base
-        elif self.gamma == float(int(self.gamma)):
-            out = self.K / base ** int(self.gamma)
-        else:
-            out = self.K / base**self.gamma
-        return float(out) if out.ndim == 0 else out
-
     def phi_sq_inplace(self, r2: np.ndarray) -> np.ndarray:
         r2 += 1.0
         if self.gamma != 1.0:
-            exp = int(self.gamma) if self.gamma == float(int(self.gamma)) else self.gamma
-            np.power(r2, exp, out=r2)
+            np.power(r2, self.gamma, out=r2)
         np.divide(self.K, r2, out=r2)
         return r2
 
@@ -129,11 +122,6 @@ class ExponentialKernel(Kernel):
             raise ValueError("K must be a positive finite number")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be a positive finite number")
-
-    def phi(self, r):
-        r = _check_radius(r)
-        out = self.K * np.exp(-self.lam * r)
-        return float(out) if out.ndim == 0 else out
 
     def tail_integral(self, a: float) -> float:
         if a < 0:
@@ -183,6 +171,10 @@ class TabulatedKernel(Kernel):
         r = _check_radius(r)
         out = np.interp(r, self.radii, self.values)
         return float(out) if out.ndim == 0 else out
+
+    def phi_sq_inplace(self, r2: np.ndarray) -> np.ndarray:
+        # interpolation in r: sqrt(r * r) is not r once r * r overflows
+        return np.asarray(self.phi(np.sqrt(r2)))
 
     @property
     def tail_diverges(self) -> bool:

@@ -31,6 +31,7 @@ from flockctrl import (
     fundamental_step,
     fundamental_step_space,
     grid_ensemble,
+    mass_quantile_cuts,
     normalized,
     support_box,
     theorem4_threshold,
@@ -57,7 +58,7 @@ class TestStepParams:
         p = axis_step_params(PowerLawKernel(1.0, 1.0), e, 0, 0.5)
         assert p.n == 4
         np.testing.assert_allclose(p.cuts, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0.01)
-        np.testing.assert_allclose(p.slice_masses, 0.25, atol=0.01)
+        np.testing.assert_allclose(mass_quantile_cuts(e, 0, 0.25, p.n)[1], 0.25, atol=0.01)
 
     def test_widening_approaches_continuum_value(self):
         # extended slab mass 0.25 + 6 eps <= 0.5 gives eps = 1/24 in the limit

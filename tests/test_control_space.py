@@ -20,6 +20,7 @@ from flockctrl import (
     theorem6_threshold,
     uniform_box_ensemble,
 )
+from flockctrl.dynamics import SpaceBand
 
 CONSTANT_KERNEL = TabulatedKernel((0.0, 1000.0), (1.0, 1.0))
 
@@ -51,17 +52,17 @@ class TestSpaceStepParams:
         e = _normalized_uniform(seed=2)
         p = space_step_params(ExponentialKernel(1.0, 1.0), e, 50.0)
         assert p.eps0 == pytest.approx(p.beta0 / 2.0)
-        assert p.omega_area <= 50.0
+        assert SpaceBand.area({"eps": p.eps0, "y0": p.Y0, "w0": p.W0}) <= 50.0
 
     def test_area_never_exceeds_budget(self):
         for seed in range(8):
             for c in (0.05, 0.3, 1.0, 3.0):
                 e = _normalized_uniform(seed=seed)
                 p = space_step_params(PowerLawKernel(1.0, 1.0), e, c)
-                assert p.omega_area <= c
+                assert SpaceBand.area({"eps": p.eps0, "y0": p.Y0, "w0": p.W0}) <= c
                 # rectangle area recomputed independently
                 area = (p.Y0 + p.eps0 * p.W0 + 2.0 * p.eps0) * 4.0 * p.eps0
-                assert p.omega_area == pytest.approx(area)
+                assert SpaceBand.area({"eps": p.eps0, "y0": p.Y0, "w0": p.W0}) == pytest.approx(area)
 
     def test_step_duration_equals_band_width(self):
         e = _normalized_uniform(seed=3)
