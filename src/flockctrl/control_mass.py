@@ -188,6 +188,10 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
     vbar0 = float(e.w @ e.v[:, axis])
     alpha0, beta0 = _band_offsets(kernel, diam, max(W0 - vbar0, vbar0))
 
+    w_max = float(e.w.max())
+    if w_max > c + _MASS_TOL:
+        # it lies in some column at every widening; this also bounds ceil(2/c) by 2N
+        raise DegenerateMeasureError(f"an atom of mass {w_max} exceeds the mass budget c = {c}")
     n = math.ceil(2.0 / c)
     cuts = mass_quantile_cuts(e, axis, c / 2.0, n)[0]
 

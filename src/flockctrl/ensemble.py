@@ -34,7 +34,7 @@ class Ensemble:
             raise ValueError("ensemble must be nonempty")
         if w.shape[0] != x.shape[0]:
             raise ValueError("one weight per particle required")
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # NaN fails too
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > _WEIGHT_TOL * max(1, w.size):
             raise ValueError("weights must sum to 1")

@@ -150,6 +150,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _is_numbers(x) -> bool:
+    """A finite JSON number, or a list of them, nested to any depth."""
+    return all(map(_is_numbers, x)) if isinstance(x, list) else _is_number(x)
+
+
 def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -238,6 +243,9 @@ def validate_config(raw: str) -> Scenario:
             _is_count(initial.get(k)) for k in ("counts_x", "counts_v")
         ):
             errors.append("initial.counts_x and counts_v must be positive integers or lists")
+        if not all(_is_numbers(val) or (k == "w" and val is None) for k, val in initial.items()
+                   if k in ("x_low", "x_high", "v_low", "v_high", "x", "v", "w")):
+            errors.append("initial bounds, x, v and w must be finite JSON numbers")
 
     c = doc.get("c")
     if c is not None and not _is_number(c):

@@ -7,10 +7,12 @@ A document is either any JSON value, or a valid document in which up to three
 entries, nested ones included, are deleted or replaced by any JSON value.
 The values that set how much work a run does are kept small, so that each
 example takes milliseconds: at most 20 particles, horizons and plan times of
-at most 2, budgets c >= 0.1, at most 20 synthesis steps, and no deletion of
-the horizons or of the step budget (their defaults are long).  Numbers in
-the replacements are small, NaN, infinite, -0 or 1e-300, and strings use an
-alphabet without digits, so that no string reads as a count.
+at most 2, at most 20 synthesis steps, and no deletion of the horizons or of
+the step budget (their defaults are long).  Budgets c run from 1e-12 to 4: a
+mass budget below the heaviest atom is rejected before any column is cut,
+so a step cuts at most 2N columns.  Numbers in the replacements are small,
+NaN, infinite, -0 or 1e-300, and strings may hold digits: a number that is a
+string is a config error, never read as the number it spells.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from flockctrl.cli import main as cli_main
 
 _SPECIAL = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, -1.0, 0.0])
-_TEXT = st.text(alphabet="abcxyz _-.", max_size=6)
+_TEXT = st.text(alphabet="abcxyz019 _-.", max_size=6)
 _NUM = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3), _SPECIAL)
 _JUNK = st.recursive(
     st.one_of(st.none(), st.booleans(), _NUM, _TEXT),
@@ -118,7 +120,7 @@ def _scenario(draw):
         "step_budget": draw(st.integers(1, 20)),
     }
     if mode != "none" or draw(st.booleans()):
-        doc["c"] = draw(st.floats(0.1, 4.0))
+        doc["c"] = draw(st.floats(1e-12, 4.0))
     optional = {"eta": st.floats(1e-3, 1.0), "dt_max": st.floats(1e-2, 1.0),
                 "safety_factor": st.floats(0.1, 1.0), "out": _OUT}
     for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
@@ -219,6 +221,16 @@ def _run(scenario, replay):
 @example(scenario=dict(_MINIMAL, initial={"kind": "explicit", "x": [], "v": []}), replay=None)
 @example(scenario=dict(_MINIMAL, mode="mass", c=3.0), replay=None)
 @example(scenario=dict(_MINIMAL, horizon=None), replay=None)
+# a mass budget far below the heaviest atom, once 2e12 columns (the power law's
+# slow tail keeps eta positive)
+@example(scenario=dict(_MINIMAL, mode="mass", c=1e-12,
+                       kernel={"family": "power_law", "K": 1.0, "gamma": 1.0}), replay=None)
+# numbers in the initial measure that are strings, or a NaN weight
+@example(scenario=dict(_MINIMAL, initial={"kind": "explicit", "x": ["0", "1"], "v": [0.0, 0.1]}),
+         replay=None)
+@example(scenario=dict(_MINIMAL, initial={"kind": "explicit", "x": [0.0, 0.5, 1.0],
+                                          "v": [0.0, 0.1, 0.2], "w": [float("nan"), 0.5, 0.5]}),
+         replay=None)
 # a kernel parameter that is a string, once read as the number it spells
 @example(
     scenario=dict(_MINIMAL,

@@ -100,6 +100,12 @@ class TestStepParams:
         with pytest.raises(DegenerateMeasureError):
             axis_step_params(PowerLawKernel(), e, 0, 0.5)
 
+    def test_atom_heavier_than_the_budget_rejected_before_any_cut(self):
+        # ceil(2/c) = 2e12 columns were once asked of mass_quantile_cuts
+        e = _normalized_uniform(n=20, seed=4)
+        with pytest.raises(DegenerateMeasureError, match="atom of mass 0.05 exceeds"):
+            axis_step_params(PowerLawKernel(), e, 0, 1e-12)
+
     def test_widened_columns_respect_budget(self):
         e = _normalized_uniform(n=300, seed=3)
         c = 0.4
@@ -234,6 +240,20 @@ def small_run_2d():
         100, [0.0, 0.0], [0.3, 0.3], [0.0, 0.0], [0.3, 0.3], seed=21
     )
     return k, e0, complete_strategy_multi_d(k, e0, 0.5)
+
+
+@pytest.fixture(scope="module")
+def volume_run():
+    k = ExponentialKernel(1.0, 1.0)
+    e0 = uniform_box_ensemble(60, 0.0, 0.2, 0.0, 0.3, seed=8)
+    return k, e0, complete_strategy_space(k, e0, 1.0)
+
+
+def test_every_record_holds_the_declared_params_type(small_run, small_run_2d, volume_run):
+    declared = typing.get_type_hints(StepRecord)["params"]
+    for _, _, res in (small_run, small_run_2d, volume_run):
+        assert res.records
+        assert all(isinstance(r.params, declared) for r in res.records)
 
 
 class TestCompleteStrategy1D:

@@ -11,6 +11,7 @@ from flockctrl import (
     Ensemble,
     ExponentialKernel,
     PowerLawKernel,
+    StepParams,
     TabulatedKernel,
     complete_strategy_space,
     fundamental_step_space,
@@ -68,6 +69,15 @@ class TestSpaceStepParams:
         e = _normalized_uniform(seed=3)
         p = space_step_params(PowerLawKernel(1.0, 1.0), e, 0.5)
         assert p.T0 == p.eps0
+
+    def test_one_column_step_of_the_shared_geometry(self):
+        # a volume step is the mass step's sweep with n = 1 column and T0 = eps0
+        e = _normalized_uniform(seed=6)
+        p = space_step_params(PowerLawKernel(1.0, 1.0), e, 0.5)
+        assert isinstance(p, StepParams)
+        assert (p.axis, p.n, p.T0, p.diam) == (0, 1, p.eps0, p.Y0 + p.W0)
+        assert p.cuts.tolist() == [0.0, p.Y0]
+        assert p.W0 - p.T0 / p.n == p.W0 - p.eps0
 
     def test_flocked_signals(self):
         e = Ensemble.from_points([0.0, 1.0], [0.0, 0.0])

@@ -34,6 +34,11 @@ class TestEnsembleInvariants:
         with pytest.raises(ValueError):
             Ensemble(x=np.zeros((2, 1)), v=np.zeros((2, 1)), w=np.array([1.0, 0.0]))
 
+    def test_nan_weight_rejected(self):
+        # NaN <= 0 is false, and so is the sum check on a NaN total
+        with pytest.raises(ValueError, match="strictly positive"):
+            Ensemble(x=np.zeros((3, 1)), v=np.zeros((3, 1)), w=np.array([np.nan, 0.5, 0.5]))
+
     def test_nonempty(self):
         with pytest.raises(ValueError):
             Ensemble(x=np.zeros((0, 1)), v=np.zeros((0, 1)), w=np.zeros(0))

@@ -60,6 +60,51 @@ class TestPhiEval:
             np.testing.assert_allclose(k.phi_sq_inplace(r * r), k.phi(r), rtol=1e-14)
 
 
+# 100k radii spanning the finite doubles, plus ones whose square underflows or overflows
+_RADII = np.concatenate([
+    np.random.default_rng(11).uniform(0.0, 10.0, 50_000),
+    10.0 ** np.random.default_rng(12).uniform(-200.0, 300.0, 50_000),
+    [0.0, 1e-170, 1e-160, 1e150, 1e155, 1e300],
+])
+
+
+class TestPhiIsOneLaw:
+    """phi is phi_sq_inplace of r * r: sqrt(fl(r^2)) = r unless r^2 underflows or
+    overflows, and there both forms give K or 0."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # r * r overflows
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 2.5, 3.0])
+    def test_power_law_is_bit_equal_to_its_formula(self, gamma):
+        k = PowerLawKernel(0.7, gamma)
+        assert np.array_equal(k.phi(_RADII), 0.7 / (1.0 + _RADII * _RADII) ** gamma)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    def test_exponential_is_bit_equal_to_its_formula(self, lam):
+        k = ExponentialKernel(1.3, lam)
+        assert np.array_equal(k.phi(_RADII), 1.3 * np.exp(-lam * _RADII))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_scalar_gives_the_float_of_the_array_value(self):
+        for k in (PowerLawKernel(1.0, 2.5), ExponentialKernel(1.0, 0.3)):
+            for r, val in zip(_RADII[::4999], k.phi(_RADII[::4999])):
+                out = k.phi(float(r))
+                assert type(out) is float and out == val
+
+    def test_tabulated_interpolates_in_r_where_r_squared_overflows(self):
+        k = TabulatedKernel((0.0, 1e300), (2.0, 1.0))
+        assert k.phi(1e200) == np.interp(1e200, k.radii, k.values) == 2.0
+
+    def test_phi0_is_cached_and_leaves_equality_hash_and_pickling_alone(self):
+        import pickle
+
+        k = PowerLawKernel(1.0, 2.0)
+        assert k.phi0 == 1.0 and "phi0" in vars(k)
+        again = pickle.loads(pickle.dumps(k))
+        assert again == PowerLawKernel(1.0, 2.0) and hash(again) == hash(PowerLawKernel(1.0, 2.0))
+        assert repr(again) == "PowerLawKernel(K=1.0, gamma=2.0)"
+
+
 class TestTailIntegral:
     def test_power_law_gamma_one_closed_form(self):
         # int_0^inf dx/(1+4x^2) = pi/4

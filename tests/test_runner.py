@@ -440,6 +440,48 @@ class TestCli:
         assert err.count("config error") == 1 and "kernel parameters must be" in err
         assert "Traceback" not in err
 
+    _BOX = MINIMAL["initial"]
+    _GRID = {"kind": "grid", "x_low": 0.0, "x_high": 1.0, "v_low": 0.0, "v_high": 1.0,
+             "counts_x": 3, "counts_v": 2}
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            dict(_BOX, x_high="1"),
+            dict(_BOX, x_high=["1"]),
+            dict(_BOX, x_high=True),
+            dict(_GRID, x_high="1"),
+            {"kind": "explicit", "x": ["0", "1"], "v": [0.0, 1.0]},
+            {"kind": "explicit", "x": [False, True], "v": [0.0, 1.0]},
+            {"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 1.0], "w": ["0.5", "0.5"]},
+            {"kind": "explicit", "x": [0.0, 0.5, 1.0], "v": [0.0, 0.5, 1.0],
+             "w": [float("nan"), 0.5, 0.5]},
+        ],
+        ids=["string_box_bound", "string_in_box_bound_list", "boolean_box_bound",
+             "string_grid_bound", "string_x", "boolean_x", "string_w", "nan_w"],
+    )
+    def test_exit_two_on_initial_numbers_that_are_not_finite_numbers(
+        self, tmp_path, capsys, initial
+    ):
+        cfg = self._write_config(tmp_path, dict(MINIMAL, initial=initial))
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 1 and "must be finite JSON numbers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-7, 1e-4])
+    def test_exit_three_when_an_atom_outweighs_the_mass_budget(self, tmp_path, capsys, c):
+        # 20 equal atoms of mass 0.05; c = 1e-12 once asked for 2e12 column cuts.  The
+        # power law's slow tail keeps the certified eta positive at these c.
+        initial = dict(MINIMAL["initial"], particles=20)
+        kernel = {"family": "power_law", "K": 1.0, "gamma": 1.0}
+        doc = dict(MINIMAL, mode="mass", c=c, kernel=kernel, initial=initial)
+        cfg = self._write_config(tmp_path, doc)
+        assert cli_main(["--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"an atom of mass 0.05 exceeds the mass budget c = {c}" in err
+        assert "Traceback" not in err
+
     def test_exit_two_when_the_initial_measure_does_not_fit_in_memory(
         self, tmp_path, capsys, monkeypatch
     ):
