@@ -63,7 +63,8 @@ class TestSpaceStepParams:
                 assert SpaceBand.area({"eps": p.eps0, "y0": p.Y0, "w0": p.W0}) <= c
                 # rectangle area recomputed independently
                 area = (p.Y0 + p.eps0 * p.W0 + 2.0 * p.eps0) * 4.0 * p.eps0
-                assert SpaceBand.area({"eps": p.eps0, "y0": p.Y0, "w0": p.W0}) == pytest.approx(area)
+                assert SpaceBand.area({"eps": p.eps0, "y0": p.Y0, "w0": p.W0}) == \
+                    pytest.approx(area)
 
     def test_step_duration_equals_band_width(self):
         e = _normalized_uniform(seed=3)
