@@ -3,13 +3,15 @@
 Runs one scenario per invocation.  Flag values override the corresponding
 config fields; exit status is 0 on success, 2 on validation errors (of the
 scenario or of a replayed plan), 3 when a synthesis loop or an integration
-fails.
+fails.  With ``-v`` the ``flockctrl`` logger's INFO lines, such as what a
+run cost, go to stderr; by default a successful run writes nothing there.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -33,6 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt-max", type=float, help="integrator step-size cap")
     p.add_argument("--post-horizon", type=float, help="free-flight horizon after control")
     p.add_argument("--replay", help="replay an exported plan.json instead of synthesizing")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="report what the run cost on stderr")
     return p
 
 
@@ -68,6 +72,20 @@ def _read_json(path: str, what: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    log = logging.getLogger("flockctrl")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def _run(args) -> int:
     try:
         doc = _read_json(args.config, "config")
         if not isinstance(doc, dict):

@@ -24,6 +24,7 @@ from .control_mass import (
     ContractionError,
     DegenerateMeasureError,
     StepParams,
+    StrategyBudgetError,
     StrategyResult,
     _band_offsets,
     _fly_step,
@@ -119,6 +120,21 @@ def theorem6_threshold(kernel: Kernel, Y0: float, W0: float) -> float:
     return 0.5 * kernel.tail_integral(2.0 * (Y0 + W0 * W0))
 
 
+def min_space_steps(kernel: Kernel, W0: float, eta: float, c: float) -> float:
+    """A lower bound on the volume-budget steps that take the velocity extent W0 to eta.
+
+    Along the flow dW/dt >= -(2 phi0 W + 1): the field moves a velocity by at
+    most phi0 W, and the band force lies in [-1, 0].  So W reaches eta no
+    sooner than t = ln((2 phi0 W0 + 1) / (2 phi0 eta + 1)) / (2 phi0), and a
+    step lasts eps0 <= sqrt(2c)/4, since sqrt(W0 + 1) / (W0 + 2) <= 1/2.
+    """
+    if W0 <= eta:
+        return 0.0
+    phi0 = kernel.phi0
+    t = (math.log1p(2.0 * phi0 * W0) - math.log1p(2.0 * phi0 * eta)) / (2.0 * phi0)
+    return t / (math.sqrt(2.0 * c) / 4.0)
+
+
 def complete_strategy_space(
     kernel: Kernel,
     e0: Ensemble,
@@ -131,7 +147,9 @@ def complete_strategy_space(
 
     With eta omitted it is the threshold of ``theorem6_threshold``; the loop
     then provably uses total control time at most W0 and spreads the spatial
-    support by at most W0^2.
+    support by at most W0^2.  A budget c so small that even half of
+    ``min_space_steps`` exceeds ``step_budget`` raises StrategyBudgetError
+    before the first step.
     """
     if e0.d != 1:
         raise ValueError("complete_strategy_space requires a one-dimensional ensemble")
@@ -139,6 +157,12 @@ def complete_strategy_space(
     Y0, W0 = float(box0.y[0]), float(box0.w[0])
     if eta is None:
         eta = theorem6_threshold(kernel, Y0, W0)
+    steps = min_space_steps(kernel, W0, eta, c)
+    if steps / 2.0 > step_budget:
+        raise StrategyBudgetError(
+            f"the volume budget c = {c:g} needs at least {steps:.3g} steps to take W from "
+            f"{W0:.6g} to eta = {eta:.6g}, more than twice the step budget {step_budget}"
+        )
     return _synthesize(
         kernel, e0,
         lambda e, axis, t: fundamental_step_space(kernel, e, c, dt_max=dt_max, t_start=t),

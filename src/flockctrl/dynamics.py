@@ -281,6 +281,11 @@ def _empty_columns(d: int, rows: int) -> SampleColumns:
     ))
 
 
+def _repeats(t: np.ndarray, later: np.ndarray) -> int:
+    """1 if the sample times ``later`` start with a repeat of the last of ``t``, else 0."""
+    return int(t.size > 0 and later.size > 0 and later[0] <= t[-1] + 1e-12)
+
+
 class SampleStore:
     """SampleColumns under construction: preallocated arrays that double when full.
 
@@ -290,9 +295,9 @@ class SampleStore:
     rows once written never change.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, rows: int = 16):
         self.n = 0
-        self._cols = _empty_columns(d, 16)
+        self._cols = _empty_columns(d, rows)
 
     def _reserve(self, rows: int) -> SampleColumns:
         cap = self._cols.t.shape[0]
@@ -334,7 +339,7 @@ class SampleStore:
         the pieces ``traj`` flew come after that many others in the plan.
         """
         src = traj.columns
-        skip = int(self.n > 0 and src.t.size > 0 and src.t[0] <= self._cols.t[self.n - 1] + 1e-12)
+        skip = _repeats(self._cols.t[: self.n], src.t)
         rows = src.t.size - skip
         c = self._reserve(rows)
         for dst, col in zip(c, src):
@@ -382,6 +387,9 @@ class SampleRows(Sequence):
         )
 
 
+_CSV_CHUNK = 1024  # trajectory.csv rows converted to text at a time
+
+
 class Trajectory:
     """The recorded samples of a run, as read-only columns, and its final state.
 
@@ -401,8 +409,12 @@ class Trajectory:
         return SampleRows(self.columns)
 
     def extend(self, other: "Trajectory") -> "Trajectory":
-        """Concatenate a later trajectory, dropping its duplicated first sample."""
-        store = SampleStore(self.final.d)
+        """Concatenate a later trajectory, dropping its duplicated first sample.
+
+        The joined columns are allocated at exactly the joined row count.
+        """
+        t, later = self.columns.t, other.columns.t
+        store = SampleStore(self.final.d, t.size + later.size - _repeats(t, later))
         store.append(self)
         store.append(other)
         return store.trajectory(other.final)
@@ -420,13 +432,16 @@ class Trajectory:
         # a transposed (S, d) column unpacks into its d per-axis columns
         cols = [c.t, *c.Y.T, *c.v_shift.T, *c.W.T, c.X, c.V, c.Lambda, *c.vbar.T,
                 c.mass, c.area, c.u_sup]
-        text = [map(repr, col.tolist()) for col in cols]
-        text.append(map(str, c.piece.tolist()))
         # the csv module's default dialect: no field holds a comma, quote or
-        # line break, so none is quoted
+        # line break, so none is quoted.  The rows go out _CSV_CHUNK at a time:
+        # the text of all of them at once takes ~650 B a row.
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.writelines([",".join(row) + "\r\n" for row in zip(*text)])
+            for lo in range(0, c.t.shape[0], _CSV_CHUNK):
+                rows = slice(lo, lo + _CSV_CHUNK)
+                text = [map(repr, col[rows].tolist()) for col in cols]
+                text.append(map(str, c.piece[rows].tolist()))
+                fh.writelines([",".join(row) + "\r\n" for row in zip(*text)])
 
 
 def _rhs(kernel, x, v, w, piece, t, u=None):
@@ -460,6 +475,63 @@ def _rk4_segment(kernel, x, v, w, piece, t0, t1, u0=None):
     return x, v
 
 
+# The most RK4 steps one flight may take.  A flight records at most one
+# sample per step (a free flight, one per 10), so this also bounds its
+# sample store.  The longest flight of the test suite takes 10,000 steps, and
+# a replay of the benchmark's volume_1d plan 11,596.
+MAX_FLIGHT_STEPS = 1_000_000
+
+
+class FlightTooLongError(ValueError):
+    """A flight needs more than MAX_FLIGHT_STEPS RK4 steps; raised before the first."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        super().__init__(
+            f"the flight needs {steps:.15g} RK4 steps, more than the "
+            f"{MAX_FLIGHT_STEPS} one flight may take"
+        )
+
+
+def flight_segments(plan: ControlPlan, horizon: float, dt_max: float | None = None,
+                    t0: float = 0.0) -> list:
+    """(start, end, plan index of the piece, RK4 steps) of each stretch of
+    [t0, t0 + horizon] between piece boundaries, by the step rule of
+    :func:`integrate`, counted without taking a step.  Raises
+    FlightTooLongError when the steps add up to more than MAX_FLIGHT_STEPS.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if dt_max is not None and dt_max <= 0:
+        raise ValueError("dt_max must be positive")
+    free_dt = 0.01 if dt_max is None else dt_max
+
+    t_final = t0 + horizon
+    bounds = sorted(
+        {t0, t_final}
+        | {p.t_start for p in plan.pieces if t0 < p.t_start < t_final}
+        | {p.t_end for p in plan.pieces if t0 < p.t_end < t_final}
+    )
+    segments, total = [], 0
+    for seg_start, seg_end in zip(bounds, bounds[1:]):
+        idx = plan.piece_index_at(seg_start)
+        piece = plan.pieces[idx] if idx >= 0 else None
+        if piece is None:
+            seg_dt = free_dt
+        elif piece.dt is None:
+            seg_dt = min(free_dt, (piece.t_end - piece.t_start) / 20.0)
+        else:
+            seg_dt = piece.dt if dt_max is None else min(dt_max, piece.dt)
+        steps = (seg_end - seg_start) / seg_dt - 1e-9
+        # past the cap a count stays a float (inf when it overflows one)
+        nsteps = max(1, math.ceil(steps)) if steps <= MAX_FLIGHT_STEPS else steps
+        total += nsteps
+        segments.append((seg_start, seg_end, idx, nsteps))
+    if total > MAX_FLIGHT_STEPS:
+        raise FlightTooLongError(total)
+    return segments
+
+
 def integrate(
     kernel: Kernel,
     e0: Ensemble,
@@ -485,20 +557,10 @@ def integrate(
     with dt_max omitted a replay reproduces the synthesis bit for bit); for a
     piece without ``dt``, 1/20 of its length or dt_max (0.01 when omitted),
     whichever is shorter; under no piece, dt_max, or 0.01 when omitted.
+    A flight of more than MAX_FLIGHT_STEPS steps raises FlightTooLongError
+    before the first.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if dt_max is not None and dt_max <= 0:
-        raise ValueError("dt_max must be positive")
-    free_dt = 0.01 if dt_max is None else dt_max
-
-    t_final = t0 + horizon
-    bounds = sorted(
-        {t0, t_final}
-        | {p.t_start for p in plan.pieces if t0 < p.t_start < t_final}
-        | {p.t_end for p in plan.pieces if t0 < p.t_end < t_final}
-    )
-
+    segments = flight_segments(plan, horizon, dt_max, t0)
     x, v, w = e0.x.copy(), e0.v.copy(), e0.w
     store = SampleStore(e0.d)
     piece_idx = plan.piece_index_at(t0)
@@ -507,18 +569,10 @@ def integrate(
 
     # a state that overflows raises IntegrationError, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg_start, seg_end in zip(bounds, bounds[1:]):
-            idx = plan.piece_index_at(seg_start)
+        for seg_start, seg_end, idx, nsteps in segments:
             if idx != piece_idx:
                 piece_idx, u = idx, None  # the last audit was of another piece
             piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
-            if piece is None:
-                seg_dt = free_dt
-            elif piece.dt is None:
-                seg_dt = min(free_dt, (piece.t_end - piece.t_start) / 20.0)
-            else:
-                seg_dt = piece.dt if dt_max is None else min(dt_max, piece.dt)
-            nsteps = max(1, math.ceil((seg_end - seg_start) / seg_dt - 1e-9))
             dt = (seg_end - seg_start) / nsteps
             for k in range(nsteps):
                 x, v = _rk4_segment(

@@ -8,9 +8,11 @@ produces three artifacts in the output directory:
 * ``summary.json``     -- terminal report with verdicts and worst-case audits;
 * ``plan.json``        -- the machine-readable control schedule, replayable.
 
-All outputs are deterministic for a fixed scenario (seeds included); timing
-is reported on stderr only so artifacts stay byte-reproducible.  A replayed
-plan document is checked piece by piece before it is integrated.
+All outputs are deterministic for a fixed scenario (seeds included).  What
+a run cost goes only to the ``flockctrl`` logger, as one INFO line, so the
+artifacts stay byte-reproducible.  The artifacts are written as a stream: no
+writer holds a whole file's text.  A replayed plan document is checked piece
+by piece before it is integrated.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,7 +36,16 @@ from .control_mass import (
     complete_strategy_multi_d,
 )
 from .control_space import complete_strategy_space
-from .dynamics import BANDS, ControlPlan, IntegrationError, decay_rate_estimate, integrate
+from .dynamics import (
+    BANDS,
+    ControlPiece,
+    ControlPlan,
+    FlightTooLongError,
+    IntegrationError,
+    decay_rate_estimate,
+    flight_segments,
+    integrate,
+)
 from .ensemble import Ensemble, grid_ensemble, support_box, uniform_box_ensemble
 from .flocking import covering_box_test, theorem3_test
 from .kernels import Kernel, kernel_from_dict
@@ -256,12 +269,19 @@ def validate_config(raw: str) -> Scenario:
         # columns hold mass c/2 each, and the total mass is 1
         errors.append("mass budget c must be at most 2")
     dt_max = doc.get("dt_max")
-    if dt_max is not None and (not _is_number(dt_max) or dt_max <= 0):
+    dt_ok = dt_max is None or (_is_number(dt_max) and dt_max > 0)
+    if not dt_ok:
         errors.append("dt_max must be a positive finite number")
     for key in ("horizon", "post_horizon"):
-        val = doc.get(key)
-        if key in doc and (not _is_number(val) or val < 0):
+        val = doc.get(key, 10.0)
+        if not _is_number(val) or val < 0:
             errors.append(f"{key} must be a nonnegative finite number")
+        elif dt_ok:
+            # a free flight, whose steps are counted before any is taken
+            try:
+                flight_segments(ControlPlan(), val, dt_max)
+            except FlightTooLongError as exc:
+                errors.append(f"{key} {val!r}: {exc}")
     sf = doc.get("safety_factor", 0.99)
     if not _is_number(sf) or not 0 < sf <= 1:
         errors.append("safety_factor must lie in (0, 1]")
@@ -321,22 +341,65 @@ def _box_dict(box) -> dict:
     }
 
 
+def _json_scalar(x) -> str | None:
+    """The JSON text of a str, bool, None, int or float, in ``json.dumps``'s
+    order of tests; a non-finite float is the string of its token.  None for
+    anything else."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return '"NaN"' if x != x else '"Infinity"' if x > 0 else '"-Infinity"'
+    return None
+
+
+def _json_chunks(x, indent: str):
+    """The text of the dict, list, tuple or iterator ``x``, piece by piece, as
+    ``json.dump(x, fh, indent=2, sort_keys=True)`` writes it at a nesting
+    whose lines start with ``indent``.  An iterator is an array whose items
+    are made as they are written."""
+    if isinstance(x, dict):
+        items, brackets = ((k, x[k]) for k in sorted(x)), "{}"
+    elif isinstance(x, (list, tuple, Iterator)):
+        items, brackets = ((None, val) for val in x), "[]"
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    inner = indent + "  "
+    sep = brackets[0] + "\n" + inner
+    for key, val in items:
+        if key is not None:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            sep += encode_basestring_ascii(key) + ": "
+        text = _json_scalar(val)
+        if text is None:
+            yield sep
+            yield from _json_chunks(val, inner)
+        else:
+            yield sep + text
+        sep = ",\n" + inner
+    # sep is still the opening one when there was no item
+    yield "\n" + indent + brackets[1] if sep[0] == "," else brackets
+
+
 def dump_json(doc, fh) -> None:
     """Write ``doc`` to the text file ``fh`` as strict JSON, indented, with sorted
-    keys, and a newline.  JSON has no non-finite number, so such a float goes
-    out as the string "Infinity", "-Infinity" or "NaN"."""
-
-    def strict(x):
-        if isinstance(x, float) and not math.isfinite(x):
-            return json.dumps(x)  # the bare token, as a string
-        if isinstance(x, dict):
-            return {k: strict(val) for k, val in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [strict(val) for val in x]
-        return x
-
-    # streamed: a whole volume-budget plan.json as one string is megabytes
-    json.dump(strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+    keys, and a newline: the bytes of ``json.dump(doc, fh, indent=2,
+    sort_keys=True)``, except that JSON has no non-finite number, so such a
+    float goes out as the string "Infinity", "-Infinity" or "NaN".  An
+    iterator in ``doc`` goes out as an array.  The text is written as it is
+    made, so no copy of ``doc`` and no whole text is ever held."""
+    text = _json_scalar(doc)
+    fh.writelines([text] if text is not None else _json_chunks(doc, ""))
     fh.write("\n")
 
 
@@ -357,10 +420,13 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     over ``post_horizon`` from where the control switches off.  The summary
     judges the final state by the covering-box certificate.
 
-    Returns (RunSummary, Trajectory, ControlPlan).  Raises ConfigError for
-    invalid late-bound settings (before any step) and StrategyFailure when a
-    synthesis loop or a flight fails.  The artifacts are written only after a
-    run completes, so a failed run leaves none, not even the output directory.
+    Returns (RunSummary, Trajectory, ControlPlan), and logs what the run cost
+    as one INFO line of the ``flockctrl`` logger.  Raises ConfigError for
+    invalid late-bound settings (before any step) or a flight of more than
+    ``dynamics.MAX_FLIGHT_STEPS`` steps (before its first), and
+    StrategyFailure when a synthesis loop or a flight fails.  The artifacts
+    are written only after a run completes, so a failed run leaves none, not
+    even the output directory.
     """
     t_wall = time.perf_counter()
     out = out_dir or s.out
@@ -388,6 +454,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             if s.post_horizon > 0:
                 post = _free_flight(kernel, result.final, plan.t_end, s.post_horizon, s.dt_max)
                 traj = traj.extend(post)
+    except FlightTooLongError as exc:  # a step's flight under a dt_max far below its length
+        raise ConfigError([str(exc)]) from exc
     except (
         StrategyBudgetError, ContractionError, DegenerateMeasureError, IntegrationError
     ) as exc:
@@ -435,14 +503,29 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             "schema_version": SCHEMA_VERSION,
             "dimension": e0.d,
             "kernel": kernel.to_dict(),
-            "plan": plan.to_dict(),
+            # ControlPlan.to_dict's pieces, each made as it is written
+            "plan": {"pieces": map(ControlPiece.to_dict, plan.pieces)},
         }
         _write_json(os.path.join(out, "plan.json"), plan_doc)
-    print(
-        f"scenario done in {time.perf_counter() - t_wall:.2f}s wall",
-        file=sys.stderr,
-    )
+    # logging is looked up, not imported: a process that has not imported it
+    # has no handler to show the line, and the import adds ~0.4 MB to the peak
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("flockctrl").info(
+            "scenario done in %.2f s wall: %d samples, %d pieces, peak RSS %s",
+            time.perf_counter() - t_wall, cols.t.size, len(plan.pieces), _peak_rss(),
+        )
     return summary, traj, plan
+
+
+def _peak_rss() -> str:
+    """The process's peak resident set size so far, as text."""
+    try:
+        import resource
+    except ImportError:  # not on every platform
+        return "unknown"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+    return f"{peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB"
 
 
 _PIECE_NUMBERS = ("t_start", "t_end", "t_ref", "x_shift", "v_shift")
@@ -503,8 +586,10 @@ def replay_plan(plan_doc: dict, s: Scenario):
     The plan may have been synthesized against a different particle count;
     this is the mean-field robustness check.  After the plan ends, the
     ensemble flies free over ``s.post_horizon`` as in :func:`run_scenario`.
-    Returns the Trajectory.  A malformed plan document raises ConfigError,
-    and a flight whose state stops being finite raises StrategyFailure.
+    Returns the Trajectory.  A malformed plan document, or one whose flight
+    needs more than ``dynamics.MAX_FLIGHT_STEPS`` steps, raises ConfigError
+    before any step, and a flight whose state stops being finite raises
+    StrategyFailure.
     """
     plan = _parse_plan(plan_doc, s.dimension)
     kernel = s.build_kernel()
@@ -516,6 +601,8 @@ def replay_plan(plan_doc: dict, s: Scenario):
         if s.post_horizon > 0:
             post = _free_flight(kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max)
             traj = traj.extend(post)
+    except FlightTooLongError as exc:  # raised before the flight's first step
+        raise ConfigError([f"replayed plan: {exc}"]) from exc
     except IntegrationError as exc:
         raise StrategyFailure(str(exc)) from exc
     return traj

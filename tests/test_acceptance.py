@@ -293,3 +293,11 @@ def test_criterion_10_determinism(tmp_path):
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()
         assert first == second
+
+
+def test_volume_step_bound_is_at_most_the_desk_case_steps(volume_desk):
+    from flockctrl.control_space import min_space_steps
+
+    kernel, e0, res, _ = volume_desk
+    bound = min_space_steps(kernel, float(support_box(e0).w[0]), res.eta, 1.0)
+    assert 0.0 < bound <= len(res.records)

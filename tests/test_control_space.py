@@ -12,6 +12,7 @@ from flockctrl import (
     ExponentialKernel,
     PowerLawKernel,
     StepParams,
+    StrategyBudgetError,
     TabulatedKernel,
     complete_strategy_space,
     fundamental_step_space,
@@ -21,6 +22,7 @@ from flockctrl import (
     theorem6_threshold,
     uniform_box_ensemble,
 )
+from flockctrl.control_space import min_space_steps
 from flockctrl.dynamics import SpaceBand
 
 CONSTANT_KERNEL = TabulatedKernel((0.0, 1000.0), (1.0, 1.0))
@@ -173,3 +175,46 @@ class TestCompleteStrategySpace:
         _, _, res = run
         for a, b in zip(res.plan.pieces, res.plan.pieces[1:]):
             assert b.t_start == pytest.approx(a.t_end, abs=1e-9)
+
+
+class TestStepBound:
+    def test_is_at_most_the_steps_taken(self, run):
+        k, e0, res = run
+        cases = [(k, e0, 1.0, res)]
+        for kernel, e0, c in [
+            (ExponentialKernel(1.0, 1.0), uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 1.0),
+            (PowerLawKernel(1.0, 1.0), uniform_box_ensemble(20, 0.0, 1.0, 0.0, 1.0, seed=1), 1e-2),
+        ]:
+            cases.append((kernel, e0, c, complete_strategy_space(kernel, e0, c)))
+        for kernel, e0, c, res in cases:
+            bound = min_space_steps(kernel, float(support_box(e0).w[0]), res.eta, c)
+            assert 0.0 < bound <= len(res.records)
+
+    def test_closed_form(self):
+        k = PowerLawKernel(2.0, 1.0)  # phi0 = 2
+        t = math.log((2 * 2 * 1.5 + 1) / (2 * 2 * 0.1 + 1)) / (2 * 2)
+        assert min_space_steps(k, 1.5, 0.1, 0.08) == pytest.approx(t / (math.sqrt(0.16) / 4))
+        assert min_space_steps(k, 0.1, 0.1, 0.08) == 0.0
+
+    def test_a_budget_far_too_small_is_rejected_before_the_first_step(self, monkeypatch):
+        from flockctrl import control_space
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(control_space, "fundamental_step_space", no_step)
+        e0 = uniform_box_ensemble(20, 0.0, 1.0, 0.0, 1.0, seed=1)
+        with pytest.raises(StrategyBudgetError, match=r"at least 1\.4e\+06 steps") as info:
+            complete_strategy_space(PowerLawKernel(1.0, 1.0), e0, 1e-12)
+        assert info.value.records == []
+
+    def test_the_rejection_needs_twice_the_step_budget(self):
+        k, c = PowerLawKernel(1.0, 1.0), 1e-2
+        e0 = uniform_box_ensemble(20, 0.0, 1.0, 0.0, 1.0, seed=1)
+        y0, w0 = float(support_box(e0).y[0]), float(support_box(e0).w[0])
+        bound = min_space_steps(k, w0, theorem6_threshold(k, y0, w0), c)
+        assert 14.0 < bound < 14.1  # the synthesis takes 556 steps
+        with pytest.raises(StrategyBudgetError, match="exceeded"):  # the loop's own count
+            complete_strategy_space(k, e0, c, step_budget=math.ceil(bound / 2.0))
+        with pytest.raises(StrategyBudgetError, match="more than twice the step budget"):
+            complete_strategy_space(k, e0, c, step_budget=math.ceil(bound / 2.0) - 1)

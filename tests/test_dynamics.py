@@ -1,6 +1,7 @@
 """Integrator, control plans, and trajectory diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from flockctrl import (
     support_box,
     uniform_box_ensemble,
 )
-from flockctrl.dynamics import SampleStore
+from flockctrl.dynamics import (
+    MAX_FLIGHT_STEPS,
+    FlightTooLongError,
+    SampleStore,
+    flight_segments,
+)
 
 
 def _recorded_states(monkeypatch):
@@ -424,3 +430,120 @@ class TestSampleColumns:
             expected = np.concatenate([getattr(a.columns, name), getattr(b.columns, name)[1:]])
             assert _bits(col) == _bits(expected), name
         assert joined.final is b.final
+
+    def test_extend_allocates_exactly_the_joined_rows(self):
+        k = PowerLawKernel(1.0, 1.0)
+        e, plan, horizon = _column_case("mass_band")
+        a = integrate(k, e, plan, horizon, dt_max=0.01)
+        b = integrate(k, a.final, ControlPlan(), 0.3, dt_max=0.01, t0=a.columns.t[-1])
+        joined = a.extend(b)
+        rows = a.columns.t.size + b.columns.t.size - 1
+        for name, col in zip(joined.columns._fields, joined.columns):
+            assert col.shape[0] == col.base.shape[0] == rows, name
+
+
+class TestFlightCap:
+    def test_counts_the_steps_integrate_takes(self, monkeypatch):
+        from flockctrl import dynamics
+
+        e, plan, horizon = _column_case("mass_band")
+        steps = []
+        rk4 = dynamics._rk4_segment
+
+        def counting(*args):
+            steps.append(args[5])
+            return rk4(*args)
+
+        monkeypatch.setattr(dynamics, "_rk4_segment", counting)
+        integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.004)
+        assert sum(seg[3] for seg in flight_segments(plan, horizon, 0.004)) == len(steps)
+
+    @pytest.mark.parametrize(
+        "horizon, dt_max, named",
+        [(1e9, None, "100000000000"), (1e300, 1e-300, "inf"),
+         (MAX_FLIGHT_STEPS * 0.01 + 0.01, None, str(MAX_FLIGHT_STEPS + 1))],
+        ids=["long_horizon", "overflowing_count", "one_past_the_cap"],
+    )
+    def test_a_flight_past_the_cap_raises_before_its_first_step(
+        self, monkeypatch, horizon, dt_max, named
+    ):
+        from flockctrl import dynamics
+
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(dynamics, "_rk4_segment", no_step)
+        e = uniform_box_ensemble(5, 0.0, 1.0, 0.0, 1.0, seed=1)
+        with pytest.raises(FlightTooLongError, match=f"needs {named} RK4 steps"):
+            integrate(PowerLawKernel(1.0, 1.0), e, ControlPlan(), horizon, dt_max=dt_max)
+
+    def test_the_cap_itself_is_allowed(self):
+        segments = flight_segments(ControlPlan(), MAX_FLIGHT_STEPS * 0.01 - 0.005)
+        assert sum(seg[3] for seg in segments) == MAX_FLIGHT_STEPS
+
+    def test_a_piece_with_a_tiny_dt_counts_past_the_cap(self):
+        piece = ControlPiece(t_start=0.0, t_end=0.1, kind="space_band", axis=0, t_ref=0.0,
+                             x_shift=0.0, v_shift=0.0,
+                             params={"eps": 0.1, "y0": 1.0, "w0": 0.9}, dt=1e-12)
+        with pytest.raises(FlightTooLongError) as info:
+            flight_segments(ControlPlan(pieces=(piece,)), 0.1)
+        assert info.value.steps == pytest.approx(1e11)
+
+
+def _reference_to_csv(traj, path):
+    """Trajectory.to_csv as it was before it wrote in chunks: every row's text at once."""
+    c = traj.columns
+    d = traj.final.d
+    header = ["t"]
+    header += [f"Y_{j}" for j in range(d)]
+    header += [f"a_{j}" for j in range(d)]
+    header += [f"W_{j}" for j in range(d)]
+    header += ["X", "V", "Lambda"]
+    header += [f"vbar_{j}" for j in range(d)]
+    header += ["mass_in_omega", "omega_volume", "u_sup", "piece_index"]
+    cols = [c.t, *c.Y.T, *c.v_shift.T, *c.W.T, c.X, c.V, c.Lambda, *c.vbar.T,
+            c.mass, c.area, c.u_sup]
+    text = [map(repr, col.tolist()) for col in cols]
+    text.append(map(str, c.piece.tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines([",".join(row) + "\r\n" for row in zip(*text)])
+
+
+def _random_traj(rows, d, seed=0):
+    """A trajectory of ``rows`` samples whose values take every length of repr."""
+    rng = np.random.default_rng(seed)
+
+    def values(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+    columns = SampleColumns(
+        t=np.arange(rows) * 0.1, Y=values(rows, d), W=values(rows, d),
+        x_shift=values(rows, d), v_shift=values(rows, d), xbar=values(rows, d),
+        vbar=values(rows, d), X=values(rows), V=values(rows), Lambda=values(rows),
+        mass=values(rows), area=values(rows), u_sup=values(rows),
+        piece=rng.integers(-1, 5000, rows),
+    )
+    return Trajectory(columns, Ensemble.from_points(np.zeros((1, d)), np.zeros((1, d))))
+
+
+class TestToCsv:
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 5000])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bytes_match_the_whole_text_writer(self, tmp_path, rows, d):
+        traj = _random_traj(rows, d, seed=rows)
+        traj.to_csv(tmp_path / "chunked.csv")
+        _reference_to_csv(traj, tmp_path / "whole.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_a_long_trajectory_is_written_in_small_memory(self, tmp_path):
+        traj = _random_traj(100_000, 1)
+        peaks = []
+        for write in (Trajectory.to_csv, _reference_to_csv):
+            tracemalloc.start()
+            try:
+                write(traj, tmp_path / "t.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 4 * 2**20 < 30 * 2**20 < peaks[1]

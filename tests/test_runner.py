@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from flockctrl import (
     validate_config,
 )
 from flockctrl.cli import main as cli_main
-from flockctrl.runner import dump_json
+from flockctrl.dynamics import ControlPiece
+from flockctrl.runner import _write_json, dump_json
 
 MINIMAL = {
     "schema_version": 1,
@@ -350,6 +353,86 @@ def test_dump_json_writes_each_non_finite_float_as_a_string():
     assert json.loads(fh.getvalue()) == expected
 
 
+def _reference_dump_json(doc, fh):
+    """dump_json as it was before it streamed: a strict deep copy, then json.dump."""
+
+    def strict(x):
+        if isinstance(x, float) and not math.isfinite(x):
+            return json.dumps(x)
+        if isinstance(x, dict):
+            return {k: strict(val) for k, val in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(val) for val in x]
+        return x
+
+    json.dump(strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
+def _dumped(dump, doc):
+    fh = io.StringIO()
+    dump(doc, fh)
+    return fh.getvalue()
+
+
+def _plan(pieces, seed=0):
+    """A contiguous plan of ``pieces`` pieces of both kinds, with awkward numbers."""
+    rng = np.random.default_rng(seed)
+    out, t = [], 0.0
+    for i in range(pieces):
+        length = float(rng.uniform(1e-9, 0.3))
+        shared = dict(t_start=t, t_end=t + length, axis=i % 2, t_ref=t,
+                      x_shift=float(rng.standard_normal() * 1e-200),
+                      v_shift=-float(rng.uniform()), dt=None if i % 3 else length / 4)
+        if i % 2:
+            params = {"eps": float(rng.uniform(1e-12, 1.0)), "y0": 3.0, "w0": 1e300}
+            out.append(ControlPiece(kind="space_band", params=params, **shared))
+        else:
+            params = {k: float(rng.standard_normal()) for k in ("x_lo", "x_hi", "vbar", "alpha")}
+            params.update(beta=0.1, eps=float(rng.uniform()))
+            out.append(ControlPiece(kind="mass_band", params=params, **shared))
+        t += length
+    return ControlPlan(pieces=tuple(out))
+
+
+NON_FINITE_DOCS = [
+    {"a": [math.inf, (-math.inf, [math.nan, {"b": (1.0, math.inf)}])], "c": ()},
+    [(math.nan,), [[-math.inf]], {"z": math.inf, "a": -0.0}, [], {}, ((),)],
+    {"s": "caf\u00e9 \"q\"\n\t\u2603", "n": None, "t": True, "f": False, "i": -3,
+     "big": 10**30, "x": 1e-300, "y": 2.5e300, "nested": {"e": {}, "l": [[]], "inf": -math.inf}},
+    (math.inf,),
+    {},
+    [],
+]
+
+
+@pytest.mark.parametrize("doc", NON_FINITE_DOCS, ids=range(len(NON_FINITE_DOCS)))
+def test_dump_json_bytes_match_the_deep_copy_writer(doc):
+    assert _dumped(dump_json, doc) == _dumped(_reference_dump_json, doc)
+
+
+@pytest.mark.parametrize("scalar", [1.5, math.nan, -math.inf, "x", None, True, 7])
+def test_dump_json_of_a_scalar_document(scalar):
+    assert _dumped(dump_json, scalar) == _dumped(_reference_dump_json, scalar)
+
+
+@pytest.mark.parametrize("pieces", [0, 1, 3000])
+def test_a_plan_with_lazily_made_pieces_is_written_as_its_dict(tmp_path, pieces):
+    plan = _plan(pieces, seed=pieces)
+    doc = {"schema_version": 1, "dimension": 2, "kernel": {"family": "exponential", "K": 1.0},
+           "plan": plan.to_dict()}
+    lazy = dict(doc, plan={"pieces": map(ControlPiece.to_dict, plan.pieces)})
+    _write_json(tmp_path / "plan.json", lazy)
+    assert (tmp_path / "plan.json").read_text() == _dumped(_reference_dump_json, doc)
+
+
+def test_dump_json_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError, match="ndarray"):
+        dump_json({"a": np.zeros(2)}, io.StringIO())
+    with pytest.raises(TypeError, match="keys must be str"):
+        dump_json({1: 2}, io.StringIO())
+
+
 class TestCli:
     def _write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
@@ -387,6 +470,73 @@ class TestCli:
             summary = json.loads(text, parse_constant=reject)
             for key in infinite:
                 assert summary["verdict_before"][key] == "Infinity"
+
+    def test_a_run_writes_nothing_to_stderr_by_default(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, dict(MASS_SMALL, out=str(tmp_path / "art")))
+        assert cli_main(["--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_verbose_reports_what_the_run_cost_in_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, dict(MASS_SMALL, out=str(tmp_path / "art")))
+        assert cli_main(["--config", cfg, "-v"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"scenario done in \d+\.\d\d s wall: \d+ samples, \d+ pieces, "
+            r"peak RSS \d+\.\d MB", lines[0]
+        ), lines[0]
+        plan = json.loads((tmp_path / "art" / "plan.json").read_text())
+        rows = (tmp_path / "art" / "trajectory.csv").read_text().count("\n") - 1
+        assert f" {rows} samples, {len(plan['plan']['pieces'])} pieces," in lines[0]
+        # and the next run without -v is silent again
+        assert cli_main(["--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [({"horizon": 1e9}, "100000000000"),
+         ({"mode": "mass", "c": 0.5, "post_horizon": 1e9}, "100000000000"),
+         ({"horizon": 20.0, "dt_max": 1e-5}, "2000000")],
+        ids=["horizon", "post_horizon", "dt_max"],
+    )
+    def test_exit_two_at_once_on_a_flight_past_the_step_cap(
+        self, tmp_path, capsys, monkeypatch, changes, named
+    ):
+        steps = _count_rk4_steps(monkeypatch)
+        cfg = self._write_config(tmp_path, dict(MINIMAL, **changes))
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"needs {named} RK4 steps" in err and "config error" in err
+        assert steps == []
+
+    def test_exit_two_on_a_step_flight_past_the_step_cap(self, tmp_path, capsys, monkeypatch):
+        steps = _count_rk4_steps(monkeypatch)
+        doc = dict(VOLUME_SMALL, horizon=0.0, post_horizon=0.0, dt_max=1e-9)
+        assert cli_main(["--config", self._write_config(tmp_path, doc)]) == 2
+        assert "RK4 steps" in capsys.readouterr().err
+        assert steps == []
+
+    def test_exit_two_at_once_on_a_replayed_piece_past_the_step_cap(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        steps = _count_rk4_steps(monkeypatch)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(_plan_doc(dt=1e-12)))
+        cfg = self._write_config(tmp_path, MINIMAL)
+        assert cli_main(["--config", cfg, "--replay", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: replayed plan: the flight needs 100000000000 RK4 steps" in err
+        assert steps == []
+
+    def test_exit_three_at_once_on_a_volume_budget_far_too_small(self, tmp_path, capsys):
+        initial = dict(MINIMAL["initial"], particles=20, seed=1, x_high=1.0, v_high=1.0)
+        doc = dict(VOLUME_SMALL, c=1e-12, initial=initial,
+                   kernel={"family": "power_law", "K": 1.0, "gamma": 1.0})
+        t0 = time.perf_counter()
+        assert cli_main(["--config", self._write_config(tmp_path, doc)]) == 3
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "strategy failure" in err and "needs at least 1.4e+06 steps" in err
 
     def test_exit_two_on_bad_config(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, dict(MINIMAL, mode="mass"))  # no c
