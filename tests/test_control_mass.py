@@ -256,6 +256,13 @@ def test_every_record_holds_the_declared_params_type(small_run, small_run_2d, vo
         assert all(isinstance(r.params, declared) for r in res.records)
 
 
+def test_volume_step_bound_is_at_most_the_steps_taken(volume_run):
+    from flockctrl.control_space import min_space_steps
+
+    k, e0, res = volume_run
+    assert 0.0 < min_space_steps(k, float(support_box(e0).w[0]), res.eta, 1.0) <= len(res.records)
+
+
 class TestCompleteStrategy1D:
     def test_terminates_below_eta(self, small_run):
         _, e0, res = small_run
