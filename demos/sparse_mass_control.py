@@ -12,8 +12,9 @@ import numpy as np
 
 from flockctrl import (
     ControlPlan,
+    MassBudget,
     PowerLawKernel,
-    complete_strategy_1d,
+    complete_strategy,
     decay_rate_estimate,
     integrate,
     support_box,
@@ -27,7 +28,7 @@ c = 0.5
 
 print(f"initially in flocking region: {theorem3_test(kernel, cloud).in_region}")
 
-result = complete_strategy_1d(kernel, cloud, c)
+result = complete_strategy(kernel, cloud, MassBudget(c))
 box0 = support_box(cloud)
 box1 = support_box(result.final)
 

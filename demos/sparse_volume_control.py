@@ -13,7 +13,8 @@ import numpy as np
 from flockctrl import (
     ControlPlan,
     PowerLawKernel,
-    complete_strategy_space,
+    VolumeBudget,
+    complete_strategy,
     decay_rate_estimate,
     integrate,
     support_box,
@@ -24,7 +25,7 @@ kernel = PowerLawKernel(K=1.0, gamma=1.0)
 cloud = uniform_box_ensemble(400, 0.0, 1.0, 0.0, 1.0, seed=7)
 c = 1.0
 
-result = complete_strategy_space(kernel, cloud, c)
+result = complete_strategy(kernel, cloud, VolumeBudget(c))
 box0 = support_box(cloud)
 box1 = support_box(result.final)
 

@@ -10,21 +10,20 @@ from .control_mass import (
     AlreadyFlockedSignal,
     ContractionError,
     DegenerateMeasureError,
+    MassBudget,
     StepParams,
     StepRecord,
     StrategyBudgetError,
     StrategyResult,
     axis_step_params,
     build_control_piece,
-    complete_strategy_1d,
-    complete_strategy_multi_d,
+    complete_strategy,
     fundamental_step,
     theorem4_threshold,
     theorem5_threshold,
 )
 from .control_space import (
-    complete_strategy_space,
-    fundamental_step_space,
+    VolumeBudget,
     space_step_params,
     theorem6_threshold,
 )

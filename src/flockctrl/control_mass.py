@@ -1,4 +1,4 @@
-"""Mass-budget sparse control synthesis.
+"""Mass-budget sparse control synthesis, and the step and loop both budgets share.
 
 One fundamental step shrinks the velocity support on a chosen axis by a
 guaranteed amount while the control acts, at every instant, only on a
@@ -7,16 +7,18 @@ support into n = ceil(2/c) columns of mass <= c/2 each, widen them so the
 widened columns still carry mass <= c, and sweep the columns one at a time
 with a unit-bounded force pushing band velocities toward the barycenter.
 The complete strategy iterates steps until the velocity extent falls below
-a threshold eta that certifies membership in the flocking region; the
-multi-axis strategy runs the loop per coordinate in order, and previously
-completed axes provably stay small.  That loop, ``_synthesize``, also runs
-the volume-budget strategy of ``control_space``.
+a threshold eta that certifies membership in the flocking region, axis by
+axis in order; previously completed axes provably stay small.  A budget
+object, ``MassBudget`` here or ``control_space.VolumeBudget``, holds all a
+budget does differently; ``fundamental_step`` and ``complete_strategy``
+run either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .kernels import Kernel
 _MASS_TOL = 1e-12
 _CONTRACTION_SLACK = 1e-6
 _BOX_SLACK = 1e-6
+_MIN_SLOT = 1e-9  # ControlPlan's join tolerance: a plan cannot tell a shorter piece apart
 
 
 class AlreadyFlockedSignal(Exception):
@@ -43,7 +46,8 @@ class AlreadyFlockedSignal(Exception):
 class DegenerateMeasureError(ValueError):
     """No synthesis applies: an atom is too heavy for the budget, so no positive
     widening exists, or eta is not positive, as when the certified threshold of
-    a wide support underflows to 0."""
+    a wide support underflows to 0, or a step's pieces would be too short for
+    a plan to tell apart, as when two atoms nearly coincide."""
 
 
 class StrategyBudgetError(RuntimeError):
@@ -236,13 +240,15 @@ def build_control_piece(
     The column is [cuts[i-1] - 2 eps, cuts[i] + 2 eps] in the normalized
     frame; the two velocity bands sit at offsets [alpha + beta, alpha + 4 beta]
     on either side of the barycenter, with unit plateau inset by (eps, beta).
+    Piece n ends at t_start + T0, where the step's flight does, even where
+    n slots round to another time.
     """
     if not 1 <= i <= params.n:
         raise ValueError("slice index out of range")
     slot = params.T0 / params.n
     return ControlPiece(
         t_start=t_start + (i - 1) * slot,
-        t_end=t_start + i * slot,
+        t_end=t_start + (params.T0 if i == params.n else i * slot),
         kind="mass_band",
         axis=params.axis,
         t_ref=t_start,
@@ -260,17 +266,92 @@ def build_control_piece(
     )
 
 
-def _fly_step(kernel, e, box, params, pieces, dt):
-    """Fly a step's pieces from e (support box ``box``) and run the audits both budgets share:
-    W_after <= W0 - T0/n (+slack) on the step's axis, and the velocity interval on that axis
-    inside [v_lo, v_lo + W0] at every sample.  Returns what ``fundamental_step`` does."""
-    axis, W_target = params.axis, params.W0 - params.T0 / params.n
-    t_start = pieces[0].t_start
-    frag = ControlPlan(pieces=tuple(pieces))
+def theorem4_threshold(kernel: Kernel, Y0: float, W0: float, c: float) -> float:
+    """Velocity-extent threshold certifying the flocking region after the 1D loop."""
+    n = math.ceil(2.0 / c)
+    return 0.5 * kernel.tail_integral(2.0 * (Y0 + n * W0 * W0))
+
+
+def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float):
+    """(eta, W_star, W_tilde) for the axis-by-axis strategy in dimension d."""
+    Y0 = np.asarray(Y0, dtype=float)
+    W0 = np.asarray(W0, dtype=float)
+    d = Y0.size
+    n = math.ceil(2.0 / c)
+    w_star = n * float(W0.sum())
+    w_tilde = float(np.linalg.norm(Y0 + W0 * w_star))
+    eta = kernel.tail_integral(w_tilde) / (2.0 * math.sqrt(d))
+    return eta, w_star, w_tilde
+
+
+@dataclass(frozen=True)
+class MassBudget:
+    """At most mass c in the control set at every instant: steps of n = ceil(2/c)
+    column pieces of two RK4 steps each, ended at theorem 4's eta in one
+    dimension and theorem 5's in more."""
+
+    c: float
+    rk4_per_piece: ClassVar[int] = 2
+    # the StepRecord fields whose worst value over the steps a summary reports
+    worst_audits: ClassVar[tuple] = ("max_mass_in_omega", "max_u_sup", "max_vbar_drift")
+
+    def __post_init__(self):
+        if not 0.0 < self.c < math.inf:
+            name = type(self).__name__
+            raise ValueError(f"{name} c must be a positive finite number, not {self.c!r}")
+
+    def params(self, kernel: Kernel, e: Ensemble, axis: int) -> StepParams:
+        return axis_step_params(kernel, e, axis, self.c)
+
+    def pieces(self, params: StepParams, t_start: float, box: SupportBox, dt: float):
+        return [build_control_piece(params, i, t_start, box, dt=dt) for i in range(1, params.n + 1)]
+
+    def audit(self, rec: StepRecord, e: Ensemble) -> None:
+        if rec.max_vbar_drift > rec.params.beta0 / 2.0 + _BOX_SLACK:
+            raise ContractionError("barycenter drifted beyond beta0/2 during step")
+        if rec.max_mass_in_omega > self.c + 2.0 * float(e.w.max()) + _MASS_TOL:
+            raise ContractionError("control set carried mass beyond c + 2 max(w) during step")
+
+    def bounds(self, kernel: Kernel, e0: Ensemble, eta, step_budget: int):
+        """(axes, eta, total control time bound, spatial spread bound) of a synthesis from e0;
+        eta None is the theorem's."""
+        box0 = support_box(e0)
+        if e0.d == 1:
+            Y0, W0 = float(box0.y[0]), float(box0.w[0])
+            n = math.ceil(2.0 / self.c)
+            eta = theorem4_threshold(kernel, Y0, W0, self.c) if eta is None else eta
+            return (0,), eta, W0 * n, Y0 + n * W0 * W0
+        eta5, w_star, _ = theorem5_threshold(kernel, box0.y, box0.w, self.c)
+        return tuple(range(e0.d)), eta5 if eta is None else eta, w_star, math.inf
+
+
+def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None = None,
+                     axis: int = 0, t_start: float = 0.0):
+    """Execute one fundamental step of ``budget`` on the given axis.
+
+    Renormalizes the support box and flies the budget's n pieces, slots of
+    T0/n, which must contract W on the axis to W_before - T0/n (+slack) and
+    keep the velocity interval on the axis inside [v_lo, v_lo + W0] at every
+    sample; then the budget runs its own audits.  Returns (ensemble after
+    the step, StepRecord, plan fragment, Trajectory).  By default each piece
+    takes ``budget.rk4_per_piece`` RK4 steps: a mass piece lasts at most
+    beta0/(2 c n), small against the 1/beta0 force stiffness, and the
+    contraction audit rejects the step if discretization ever eats the
+    analytic margin.
+    """
+    box = support_box(e)
+    params = budget.params(kernel, normalized(e, box), axis)
+    slot = params.T0 / params.n
+    if not slot > _MIN_SLOT:
+        raise DegenerateMeasureError(
+            f"step pieces of {slot:.3e} fall in a plan's {_MIN_SLOT:g} tolerance")
+    dt = dt_max if dt_max is not None else slot / budget.rk4_per_piece
+    frag = ControlPlan(pieces=tuple(budget.pieces(params, t_start, box, dt)))
     traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)
     cols = traj.columns
     # the last sample is the final state
     W_after, Y_after = cols.W[-1].copy(), cols.Y[-1].copy()
+    W_target = params.W0 - slot
     if W_after[axis] > W_target + _CONTRACTION_SLACK:
         raise ContractionError(
             f"step on axis {axis} contracted W to {W_after[axis]:.9f}, "
@@ -295,66 +376,23 @@ def _fly_step(kernel, e, box, params, pieces, dt):
         max_omega_area=float(cols.area.max()),
         max_vbar_drift=float(np.abs(cols.vbar[:, axis] - (v_lo + params.vbar0)).max()),
     )
+    budget.audit(record, e)
     return traj.final, record, frag, traj
 
 
-def fundamental_step(
-    kernel: Kernel,
-    e: Ensemble,
-    c: float,
-    dt_max: float | None = None,
-    axis: int = 0,
-    t_start: float = 0.0,
-):
-    """Execute one fundamental step on the given axis.
+def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = None,
+                      dt_max: float | None = None, step_budget: int = 100_000) -> StrategyResult:
+    """Run fundamental steps of ``budget`` on each of its axes in turn until
+    the axis's velocity extent reaches eta.
 
-    Renormalizes the support box and flies the n-piece sweep, which must
-    contract W to W_before - T0/n (+slack), keep the velocity box, move the
-    barycenter at most beta0/2 and put mass at most c + 2 max(w) in the
-    control set.  Returns (ensemble after the step, StepRecord, plan
-    fragment, Trajectory).  By default each piece takes two RK4 steps: a
-    piece lasts at most beta0/(2 c n), small against the 1/beta0 force
-    stiffness, and the contraction audit rejects the step if discretization
-    ever eats the analytic margin.
+    With eta omitted the budget computes it from the initial box so that the
+    terminal configuration is certified inside the flocking region.  Pieces
+    go on a running list and samples into one SampleStore, so the loop is
+    linear in the steps.  Then it audits the budget's guarantees: no
+    finished axis regrows above eta, the total control time and the spatial
+    extent on axis 0 stay within the budget's bounds.
     """
-    box = support_box(e)
-    params = axis_step_params(kernel, normalized(e, box), axis, c)
-    dt = dt_max if dt_max is not None else params.T0 / (2 * params.n)
-    pieces = [build_control_piece(params, i, t_start, box, dt=dt) for i in range(1, params.n + 1)]
-    final, record, frag, traj = _fly_step(kernel, e, box, params, pieces, dt)
-    if record.max_vbar_drift > params.beta0 / 2.0 + _BOX_SLACK:
-        raise ContractionError("barycenter drifted beyond beta0/2 during step")
-    if record.max_mass_in_omega > c + 2.0 * float(e.w.max()) + _MASS_TOL:
-        raise ContractionError("control set carried mass beyond c + 2 max(w) during step")
-    return final, record, frag, traj
-
-
-def theorem4_threshold(kernel: Kernel, Y0: float, W0: float, c: float) -> float:
-    """Velocity-extent threshold certifying the flocking region after the 1D loop."""
-    n = math.ceil(2.0 / c)
-    return 0.5 * kernel.tail_integral(2.0 * (Y0 + n * W0 * W0))
-
-
-def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float):
-    """(eta, W_star, W_tilde) for the axis-by-axis strategy in dimension d."""
-    Y0 = np.asarray(Y0, dtype=float)
-    W0 = np.asarray(W0, dtype=float)
-    d = Y0.size
-    n = math.ceil(2.0 / c)
-    w_star = n * float(W0.sum())
-    w_tilde = float(np.linalg.norm(Y0 + W0 * w_star))
-    eta = kernel.tail_integral(w_tilde) / (2.0 * math.sqrt(d))
-    return eta, w_star, w_tilde
-
-
-def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bound=math.inf):
-    """Run ``step(e, axis, t_start)`` on each axis in turn until its W drops to eta.
-
-    Pieces go on a running list and samples into one SampleStore, so the
-    loop is linear in the steps.  Then it audits the guarantees: no finished
-    axis regrows above eta, total control time <= time_bound, spatial extent
-    on axis 0 <= spread_bound.
-    """
+    axes, eta, time_bound, spread_bound = budget.bounds(kernel, e0, eta, step_budget)
     if not eta > 0.0:
         raise DegenerateMeasureError(f"eta must be positive, not {eta}")
     records: list[StepRecord] = []
@@ -369,7 +407,10 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
                     f"exceeded {step_budget} fundamental steps before W <= eta",
                     records=records,
                 )
-            e, rec, frag, step_traj = step(e, axis, t_end)
+            # through the module attribute, which a caller may wrap, once per step
+            e, rec, frag, step_traj = fundamental_step(
+                kernel, e, budget, dt_max=dt_max, axis=axis, t_start=t_end
+            )
             records.append(rec)
             # the step numbers its pieces from 0; the plan, from len(pieces)
             store.append(step_traj, piece_offset=len(pieces))
@@ -401,58 +442,4 @@ def _synthesize(kernel, e0, step, axes, eta, step_budget, time_bound, spread_bou
         final=e,
         total_control_time=total_time,
         terminal_verdict=covering_box_test(kernel, support_box(e))[0],
-    )
-
-
-def complete_strategy_1d(
-    kernel: Kernel,
-    e0: Ensemble,
-    c: float,
-    eta: float | None = None,
-    dt_max: float | None = None,
-    step_budget: int = 100_000,
-) -> StrategyResult:
-    """Iterate the 1D fundamental step until the velocity extent reaches eta.
-
-    With eta omitted it is computed from the initial box so that the terminal
-    configuration is certified inside the flocking region; the loop then
-    provably uses total control time at most W0 * ceil(2/c) and spreads the
-    spatial support by at most ceil(2/c) * W0^2.
-    """
-    if e0.d != 1:
-        raise ValueError("complete_strategy_1d requires a one-dimensional ensemble")
-    box0 = support_box(e0)
-    Y0, W0 = float(box0.y[0]), float(box0.w[0])
-    if eta is None:
-        eta = theorem4_threshold(kernel, Y0, W0, c)
-    n = math.ceil(2.0 / c)
-    return _synthesize(
-        kernel, e0,
-        lambda e, axis, t: fundamental_step(kernel, e, c, dt_max=dt_max, axis=axis, t_start=t),
-        (0,), eta, step_budget, time_bound=W0 * n, spread_bound=Y0 + n * W0 * W0,
-    )
-
-
-def complete_strategy_multi_d(
-    kernel: Kernel,
-    e0: Ensemble,
-    c: float,
-    eta: float | None = None,
-    dt_max: float | None = None,
-    step_budget: int = 100_000,
-) -> StrategyResult:
-    """Run the axis loop for every coordinate in order, each down to eta.
-
-    After an axis finishes, its velocity extent stays below eta (plus
-    integrator slack) through all later phases; this is re-audited on the
-    recorded samples.  Total control time is bounded by ceil(2/c) * sum_j W_j0.
-    """
-    box0 = support_box(e0)
-    eta5, w_star, _ = theorem5_threshold(kernel, box0.y, box0.w, c)
-    if eta is None:
-        eta = eta5
-    return _synthesize(
-        kernel, e0,
-        lambda e, axis, t: fundamental_step(kernel, e, c, dt_max=dt_max, axis=axis, t_start=t),
-        tuple(range(e0.d)), eta, step_budget, time_bound=w_star,
     )

@@ -5,7 +5,7 @@ bounds its Lebesgue area: one rectangular band hugging the top edge of the
 velocity support, area at most c, with a unit force pushing band velocities
 down.  Each step lasts exactly its widening parameter eps (the same number
 measures a distance and a time here) and shrinks the velocity extent by at
-least eps.  ``complete_strategy_space`` runs these steps through the shared
+least eps.  ``VolumeBudget`` runs these steps through the shared step and
 loop of ``control_mass`` until the extent reaches the flocking threshold
 eta, using total control time at most W0 and spreading the spatial support
 by at most W0^2.  The band's force, membership and area are
@@ -15,23 +15,25 @@ by at most W0^2.  The band's force, membership and area are
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from . import control_mass
 from .control_mass import (
     _BOX_SLACK,
     AlreadyFlockedSignal,
     ContractionError,
     DegenerateMeasureError,
+    MassBudget,
     StepParams,
+    StepRecord,
     StrategyBudgetError,
-    StrategyResult,
     _band_offsets,
-    _fly_step,
-    _synthesize,
 )
 from .dynamics import ControlPiece, SpaceBand
-from .ensemble import Ensemble, normalized, support_box
+from .ensemble import Ensemble, SupportBox, support_box
 from .kernels import Kernel
 
 
@@ -78,43 +80,6 @@ def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> StepParams:
                       beta0=beta0, n=1, cuts=np.array([0.0, Y0]), eps0=eps0, T0=eps0)
 
 
-def fundamental_step_space(
-    kernel: Kernel,
-    e: Ensemble,
-    c: float,
-    dt_max: float | None = None,
-    t_start: float = 0.0,
-):
-    """Execute one volume-budget step: a single band piece of duration eps0.
-
-    ``control_mass._fly_step`` flies it and enforces W_after <= W0 - T0/n = W0 - eps0
-    and invariance of the velocity box; this step audits the band area <= c
-    at every sample and Y_after <= Y0 + eps0*W0.
-
-    Returns (ensemble after the step, StepRecord, plan fragment, Trajectory).
-    """
-    box = support_box(e)
-    params = space_step_params(kernel, normalized(e, box), c)
-    dt = dt_max if dt_max is not None else params.T0 / 4.0
-    piece = ControlPiece(
-        t_start=t_start,
-        t_end=t_start + params.T0,
-        kind="space_band",
-        axis=0,
-        t_ref=t_start,
-        x_shift=float(box.x_shift[0]),
-        v_shift=float(box.v_shift[0]),
-        params={"eps": params.eps0, "y0": params.Y0, "w0": params.W0},
-        dt=dt,
-    )
-    final, record, frag, traj = _fly_step(kernel, e, box, params, [piece], dt)
-    if record.max_omega_area > c:
-        raise ContractionError("band area exceeded the budget during step")
-    if record.Y_after[0] > params.Y0 + params.eps0 * params.W0 + _BOX_SLACK:
-        raise ContractionError("spatial spread exceeded the per-step bound")
-    return final, record, frag, traj
-
-
 def theorem6_threshold(kernel: Kernel, Y0: float, W0: float) -> float:
     """Velocity-extent threshold certifying the flocking region after the loop."""
     return 0.5 * kernel.tail_integral(2.0 * (Y0 + W0 * W0))
@@ -135,36 +100,56 @@ def min_space_steps(kernel: Kernel, W0: float, eta: float, c: float) -> float:
     return t / (math.sqrt(2.0 * c) / 4.0)
 
 
-def complete_strategy_space(
-    kernel: Kernel,
-    e0: Ensemble,
-    c: float,
-    eta: float | None = None,
-    dt_max: float | None = None,
-    step_budget: int = 100_000,
-) -> StrategyResult:
-    """Iterate volume-budget steps until the velocity extent reaches eta.
+@dataclass(frozen=True)
+class VolumeBudget:
+    """At most area c in the control set at every instant, in one dimension:
+    steps of one band piece of four RK4 steps, ended at theorem 6's eta.  A
+    budget c so small that even half of ``min_space_steps`` exceeds the step
+    budget is rejected before the first step."""
 
-    With eta omitted it is the threshold of ``theorem6_threshold``; the loop
-    then provably uses total control time at most W0 and spreads the spatial
-    support by at most W0^2.  A budget c so small that even half of
-    ``min_space_steps`` exceeds ``step_budget`` raises StrategyBudgetError
-    before the first step.
-    """
-    if e0.d != 1:
-        raise ValueError("complete_strategy_space requires a one-dimensional ensemble")
-    box0 = support_box(e0)
-    Y0, W0 = float(box0.y[0]), float(box0.w[0])
-    if eta is None:
-        eta = theorem6_threshold(kernel, Y0, W0)
-    steps = min_space_steps(kernel, W0, eta, c)
-    if steps / 2.0 > step_budget:
-        raise StrategyBudgetError(
-            f"the volume budget c = {c:g} needs at least {steps:.3g} steps to take W from "
-            f"{W0:.6g} to eta = {eta:.6g}, more than twice the step budget {step_budget}"
-        )
-    return _synthesize(
-        kernel, e0,
-        lambda e, axis, t: fundamental_step_space(kernel, e, c, dt_max=dt_max, t_start=t),
-        (0,), eta, step_budget, time_bound=W0, spread_bound=Y0 + W0 * W0,
-    )
+    c: float
+    rk4_per_piece: ClassVar[int] = 4
+    # the StepRecord fields whose worst value over the steps a summary reports
+    worst_audits: ClassVar[tuple] = ("max_omega_area", "max_u_sup")
+
+    __post_init__ = MassBudget.__post_init__
+
+    def params(self, kernel: Kernel, e: Ensemble, axis: int) -> StepParams:
+        return space_step_params(kernel, e, self.c)
+
+    def pieces(self, params: StepParams, t_start: float, box: SupportBox, dt: float):
+        return [ControlPiece(
+            t_start, t_start + params.T0, "space_band", axis=0, t_ref=t_start,
+            x_shift=float(box.x_shift[0]), v_shift=float(box.v_shift[0]),
+            params={"eps": params.eps0, "y0": params.Y0, "w0": params.W0}, dt=dt,
+        )]
+
+    def audit(self, rec: StepRecord, e: Ensemble) -> None:
+        p = rec.params
+        if rec.max_omega_area > self.c:
+            raise ContractionError("band area exceeded the budget during step")
+        if rec.Y_after[0] > p.Y0 + p.eps0 * p.W0 + _BOX_SLACK:
+            raise ContractionError("spatial spread exceeded the per-step bound")
+
+    def bounds(self, kernel: Kernel, e0: Ensemble, eta, step_budget: int):
+        """(axes, eta, total control time bound, spatial spread bound) of a synthesis from e0;
+        eta None is the theorem's."""
+        if e0.d != 1:
+            raise ValueError("the volume budget requires a one-dimensional ensemble")
+        box0 = support_box(e0)
+        Y0, W0 = float(box0.y[0]), float(box0.w[0])
+        if eta is None:
+            eta = theorem6_threshold(kernel, Y0, W0)
+        steps = min_space_steps(kernel, W0, eta, self.c)
+        if steps / 2.0 > step_budget:
+            raise StrategyBudgetError(
+                f"the volume budget c = {self.c:g} needs at least {steps:.3g} steps to take W "
+                f"from {W0:.6g} to eta = {eta:.6g}, more than twice the step budget {step_budget}"
+            )
+        return (0,), eta, W0, Y0 + W0 * W0
+
+
+def fundamental_step_space(kernel: Kernel, e: Ensemble, c: float,
+                           dt_max: float | None = None, t_start: float = 0.0):
+    """One volume-budget step; kept while the benchmark's tracer names it (ROADMAP item 1)."""
+    return control_mass.fundamental_step(kernel, e, VolumeBudget(c), dt_max, 0, t_start)

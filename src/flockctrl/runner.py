@@ -31,11 +31,11 @@ import numpy as np
 from .control_mass import (
     ContractionError,
     DegenerateMeasureError,
+    MassBudget,
     StrategyBudgetError,
-    complete_strategy_1d,
-    complete_strategy_multi_d,
+    complete_strategy,
 )
-from .control_space import complete_strategy_space
+from .control_space import VolumeBudget
 from .dynamics import (
     BANDS,
     ControlPiece,
@@ -74,6 +74,7 @@ _INITIAL_KEYS = {
     "explicit": {"kind", "x", "v", "w"},
 }
 _KERNEL_NUMBERS = {"K", "gamma", "lam", "radii", "values"}
+_BUDGETS = {"mass": MassBudget, "volume": VolumeBudget}
 
 
 class ConfigError(ValueError):
@@ -82,13 +83,6 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-# per mode, the StepRecord fields whose worst value over the steps the summary reports
-_WORST_AUDITS = {
-    "mass": ("max_mass_in_omega", "max_u_sup", "max_vbar_drift"),
-    "volume": ("max_omega_area", "max_u_sup"),
-}
 
 
 class StrategyFailure(RuntimeError):
@@ -416,9 +410,9 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     """Execute a scenario end to end and write the three artifacts.
 
     Mode ``none`` is one free flight over ``horizon``.  Modes ``mass`` and
-    ``volume`` run the matching ``complete_strategy_*``, then a free flight
-    over ``post_horizon`` from where the control switches off.  The summary
-    judges the final state by the covering-box certificate.
+    ``volume`` run ``complete_strategy`` under the mode's budget, then a
+    free flight over ``post_horizon`` from where the control switches off.
+    The summary judges the final state by the covering-box certificate.
 
     Returns (RunSummary, Trajectory, ControlPlan), and logs what the run cost
     as one INFO line of the ``flockctrl`` logger.  Raises ConfigError for
@@ -441,18 +435,18 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             plan, records, eta, total_time = ControlPlan(), [], s.eta, 0.0
             traj = _free_flight(kernel, e0, 0.0, s.horizon, s.dt_max)
         else:
-            if s.mode == "mass":
-                strategy = complete_strategy_1d if s.dimension == 1 else complete_strategy_multi_d
-            else:
-                strategy = complete_strategy_space
-            result = strategy(
-                kernel, e0, s.c, eta=s.eta, dt_max=s.dt_max,
-                step_budget=s.step_budget,
+            try:
+                budget = _BUDGETS[s.mode](s.c)
+            except ValueError as exc:  # a Scenario built without validate_config
+                raise ConfigError([str(exc)]) from exc
+            result = complete_strategy(
+                kernel, e0, budget, eta=s.eta, dt_max=s.dt_max, step_budget=s.step_budget,
             )
             plan, records, eta = result.plan, result.records, result.eta
-            total_time, traj = result.total_control_time, result.trajectory
+            total_time, final, traj = result.total_control_time, result.final, result.trajectory
+            del result  # so that the join frees the synthesis store it copies
             if s.post_horizon > 0:
-                post = _free_flight(kernel, result.final, plan.t_end, s.post_horizon, s.dt_max)
+                post = _free_flight(kernel, final, plan.t_end, s.post_horizon, s.dt_max)
                 traj = traj.extend(post)
     except FlightTooLongError as exc:  # a step's flight under a dt_max far below its length
         raise ConfigError([str(exc)]) from exc
@@ -478,7 +472,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
 
     worst = {}
     if records:
-        worst = {name: max(getattr(r, name) for r in records) for name in _WORST_AUDITS[s.mode]}
+        worst = {name: max(getattr(r, name) for r in records) for name in budget.worst_audits}
 
     summary = RunSummary(
         mode=s.mode,

@@ -17,10 +17,10 @@ from flockctrl import (
     ControlPlan,
     Ensemble,
     ExponentialKernel,
+    MassBudget,
     PowerLawKernel,
-    complete_strategy_1d,
-    complete_strategy_multi_d,
-    complete_strategy_space,
+    VolumeBudget,
+    complete_strategy,
     corollary2_test,
     decay_rate_estimate,
     flocking_metrics,
@@ -75,7 +75,7 @@ def mass_desk():
     kernel = PowerLawKernel(1.0, 1.0)
     e0 = uniform_box_ensemble(400, 0.0, 1.0, 0.0, 1.0, seed=7)
     t0 = time.perf_counter()
-    res = complete_strategy_1d(kernel, e0, 0.5)
+    res = complete_strategy(kernel, e0, MassBudget(0.5))
     wall = time.perf_counter() - t0
     return kernel, e0, res, wall
 
@@ -87,7 +87,7 @@ def d2_desk():
         900, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], seed=11
     )
     t0 = time.perf_counter()
-    res = complete_strategy_multi_d(kernel, e0, 0.5)
+    res = complete_strategy(kernel, e0, MassBudget(0.5))
     wall = time.perf_counter() - t0
     return kernel, e0, res, wall
 
@@ -97,7 +97,7 @@ def volume_desk():
     kernel = PowerLawKernel(1.0, 1.0)
     e0 = uniform_box_ensemble(400, 0.0, 1.0, 0.0, 1.0, seed=7)
     t0 = time.perf_counter()
-    res = complete_strategy_space(kernel, e0, 1.0)
+    res = complete_strategy(kernel, e0, VolumeBudget(1.0))
     wall = time.perf_counter() - t0
     return kernel, e0, res, wall
 
@@ -258,7 +258,7 @@ def test_criterion_08_integrator_oracle():
 def test_criterion_09_finite_dim_consistency():
     kernel = ExponentialKernel(1.0, 1.0)
     e0 = uniform_box_ensemble(60, 0.0, 0.3, 0.0, 0.3, seed=5)
-    res = complete_strategy_1d(kernel, e0, 0.5)
+    res = complete_strategy(kernel, e0, MassBudget(0.5))
     kinetic = integrate(kernel, e0, res.plan, res.plan.t_end, dt_max=None)
     # the N-agent ODE system, coupled with equal weights 1/N
     agents = integrate(

@@ -14,6 +14,7 @@ from flockctrl import (
     DegenerateMeasureError,
     Ensemble,
     ExponentialKernel,
+    MassBudget,
     PowerLawKernel,
     SampleColumns,
     StepRecord,
@@ -22,14 +23,12 @@ from flockctrl import (
     SupportBox,
     TabulatedKernel,
     Trajectory,
+    VolumeBudget,
     axis_step_params,
     build_control_piece,
-    complete_strategy_1d,
-    complete_strategy_multi_d,
-    complete_strategy_space,
+    complete_strategy,
     control_mass,
     fundamental_step,
-    fundamental_step_space,
     grid_ensemble,
     mass_quantile_cuts,
     normalized,
@@ -151,27 +150,22 @@ class TestFundamentalStep:
     def test_contraction_and_audits(self):
         e = uniform_box_ensemble(400, 0.0, 1.0, 0.0, 1.0, seed=7)
         c = 0.5
-        e1, rec, frag, traj = fundamental_step(PowerLawKernel(1.0, 1.0), e, c)
+        e1, rec, frag, traj = fundamental_step(PowerLawKernel(1.0, 1.0), e, MassBudget(c))
         assert rec.W_after[0] <= rec.W_before[0] - rec.params.T0 / rec.params.n + 1e-6
         assert rec.max_mass_in_omega <= c + 2.0 * e.w.max()
         assert rec.max_u_sup <= 1.0 + 1e-12
         assert rec.max_vbar_drift <= rec.params.beta0 / 2.0 + 1e-6
         assert frag.total_control_time() == pytest.approx(rec.params.T0)
 
-    def test_dimension_guard(self):
-        e = uniform_box_ensemble(20, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], seed=1)
-        with pytest.raises(ValueError):
-            complete_strategy_1d(PowerLawKernel(), e, 0.5)
-
 
 def _mass_step():
     e = uniform_box_ensemble(60, 0.0, 1.0, 0.0, 1.0, seed=7)
-    return fundamental_step(PowerLawKernel(1.0, 1.0), e, 0.5)
+    return fundamental_step(PowerLawKernel(1.0, 1.0), e, MassBudget(0.5))
 
 
 def _volume_step():
     e = uniform_box_ensemble(40, 0.0, 1.0, 0.0, 1.0, seed=7)
-    return fundamental_step_space(PowerLawKernel(1.0, 1.0), e, 1.0)
+    return fundamental_step(PowerLawKernel(1.0, 1.0), e, VolumeBudget(1.0))
 
 
 class TestStepAuditsFire:
@@ -230,7 +224,7 @@ def test_type_hints_of_exported_dataclasses_resolve():
 def small_run():
     k = ExponentialKernel(1.0, 1.0)
     e0 = uniform_box_ensemble(100, 0.0, 0.3, 0.0, 0.3, seed=12)
-    return k, e0, complete_strategy_1d(k, e0, 0.5)
+    return k, e0, complete_strategy(k, e0, MassBudget(0.5))
 
 
 @pytest.fixture(scope="module")
@@ -239,14 +233,14 @@ def small_run_2d():
     e0 = uniform_box_ensemble(
         100, [0.0, 0.0], [0.3, 0.3], [0.0, 0.0], [0.3, 0.3], seed=21
     )
-    return k, e0, complete_strategy_multi_d(k, e0, 0.5)
+    return k, e0, complete_strategy(k, e0, MassBudget(0.5))
 
 
 @pytest.fixture(scope="module")
 def volume_run():
     k = ExponentialKernel(1.0, 1.0)
     e0 = uniform_box_ensemble(60, 0.0, 0.2, 0.0, 0.3, seed=8)
-    return k, e0, complete_strategy_space(k, e0, 1.0)
+    return k, e0, complete_strategy(k, e0, VolumeBudget(1.0))
 
 
 def test_every_record_holds_the_declared_params_type(small_run, small_run_2d, volume_run):
@@ -301,34 +295,78 @@ class TestCompleteStrategy1D:
 
     def test_already_flocked_empty_plan(self):
         e = Ensemble.from_points([0.0, 0.5, 1.0], [0.2, 0.2, 0.2])
-        res = complete_strategy_1d(ExponentialKernel(1.0, 1.0), e, 0.5)
+        res = complete_strategy(ExponentialKernel(1.0, 1.0), e, MassBudget(0.5))
         assert len(res.records) == 0
         assert res.plan.pieces == ()
         assert res.total_control_time == 0.0
 
     def test_divergent_kernel_needs_no_control(self):
         e = uniform_box_ensemble(50, 0.0, 1.0, 0.0, 1.0, seed=3)
-        res = complete_strategy_1d(PowerLawKernel(1.0, 0.4), e, 0.5)
+        res = complete_strategy(PowerLawKernel(1.0, 0.4), e, MassBudget(0.5))
         assert len(res.records) == 0  # eta is infinite
 
 
 class TestStepBudget:
     @pytest.mark.parametrize(
-        "strategy, e0, c",
+        "budget, e0",
         [
-            (complete_strategy_1d, uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 0.5),
-            (complete_strategy_multi_d,
-             uniform_box_ensemble(40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5),
-             0.5),
-            (complete_strategy_space, uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 1.0),
+            (MassBudget(0.5), uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5)),
+            (MassBudget(0.5),
+             uniform_box_ensemble(40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5)),
+            (VolumeBudget(1.0), uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5)),
         ],
         ids=["mass_1d", "mass_2d", "volume"],
     )
-    def test_one_step_budget_carries_one_record(self, strategy, e0, c):
+    def test_one_step_budget_carries_one_record(self, budget, e0):
         with pytest.raises(StrategyBudgetError) as exc_info:
-            strategy(ExponentialKernel(1.0, 1.0), e0, c, step_budget=1)
+            complete_strategy(ExponentialKernel(1.0, 1.0), e0, budget, step_budget=1)
         assert len(exc_info.value.records) == 1
         assert isinstance(exc_info.value.records[0], StepRecord)
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("budget", [MassBudget, VolumeBudget])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_a_c_that_is_not_positive_and_finite_is_rejected(self, budget, c):
+        # c = 0 once divided by zero, and a volume c = nan or inf never failed its area audit
+        with pytest.raises(ValueError, match=r"c must be a positive finite number"):
+            budget(c)
+
+    def test_the_volume_budget_rejects_a_second_dimension(self):
+        e = uniform_box_ensemble(20, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], seed=1)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            complete_strategy(PowerLawKernel(), e, VolumeBudget(1.0))
+
+    @pytest.mark.parametrize(
+        "budget, params_owner, params_name, e0",
+        [
+            (MassBudget(0.5), "control_mass", "axis_step_params",
+             uniform_box_ensemble(40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5)),
+            (VolumeBudget(1.0), "control_space", "space_step_params",
+             uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5)),
+        ],
+        ids=["mass_2d", "volume"],
+    )
+    def test_the_step_and_its_params_are_called_through_their_modules_once_per_record(
+        self, monkeypatch, budget, params_owner, params_name, e0
+    ):
+        # the benchmark's tracer times these layers by rebinding the module attributes
+        calls = {"fundamental_step": 0, params_name: 0}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(control_mass, "fundamental_step")
+        count(getattr(flockctrl, params_owner), params_name)
+        res = complete_strategy(ExponentialKernel(1.0, 1.0), e0, budget)
+        assert res.records
+        assert calls == {"fundamental_step": len(res.records), params_name: len(res.records)}
 
 
 class TestMultiD:

@@ -14,8 +14,9 @@ from flockctrl import (
     StepParams,
     StrategyBudgetError,
     TabulatedKernel,
-    complete_strategy_space,
-    fundamental_step_space,
+    VolumeBudget,
+    complete_strategy,
+    fundamental_step,
     normalized,
     space_step_params,
     support_box,
@@ -127,7 +128,8 @@ class TestSpaceForce:
 class TestFundamentalStepSpace:
     def test_contraction_and_audit(self):
         e = uniform_box_ensemble(200, 0.0, 0.4, 0.0, 0.6, seed=7)
-        e1, rec, frag, traj = fundamental_step_space(ExponentialKernel(1.0, 1.0), e, 1.0)
+        k = ExponentialKernel(1.0, 1.0)
+        e1, rec, frag, traj = fundamental_step(k, e, VolumeBudget(1.0))
         p = rec.params
         assert rec.max_omega_area <= 1.0
         assert rec.max_u_sup <= 1.0 + 1e-12
@@ -141,7 +143,7 @@ class TestFundamentalStepSpace:
 def run():
     k = ExponentialKernel(1.0, 1.0)
     e0 = uniform_box_ensemble(120, 0.0, 0.2, 0.0, 0.5, seed=9)
-    return k, e0, complete_strategy_space(k, e0, 1.0)
+    return k, e0, complete_strategy(k, e0, VolumeBudget(1.0))
 
 
 class TestCompleteStrategySpace:
@@ -185,7 +187,7 @@ class TestStepBound:
             (ExponentialKernel(1.0, 1.0), uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 1.0),
             (PowerLawKernel(1.0, 1.0), uniform_box_ensemble(20, 0.0, 1.0, 0.0, 1.0, seed=1), 1e-2),
         ]:
-            cases.append((kernel, e0, c, complete_strategy_space(kernel, e0, c)))
+            cases.append((kernel, e0, c, complete_strategy(kernel, e0, VolumeBudget(c))))
         for kernel, e0, c, res in cases:
             bound = min_space_steps(kernel, float(support_box(e0).w[0]), res.eta, c)
             assert 0.0 < bound <= len(res.records)
@@ -197,15 +199,15 @@ class TestStepBound:
         assert min_space_steps(k, 0.1, 0.1, 0.08) == 0.0
 
     def test_a_budget_far_too_small_is_rejected_before_the_first_step(self, monkeypatch):
-        from flockctrl import control_space
+        from flockctrl import control_mass
 
         def no_step(*args, **kwargs):
             raise AssertionError("a step was taken")
 
-        monkeypatch.setattr(control_space, "fundamental_step_space", no_step)
+        monkeypatch.setattr(control_mass, "fundamental_step", no_step)
         e0 = uniform_box_ensemble(20, 0.0, 1.0, 0.0, 1.0, seed=1)
         with pytest.raises(StrategyBudgetError, match=r"at least 1\.4e\+06 steps") as info:
-            complete_strategy_space(PowerLawKernel(1.0, 1.0), e0, 1e-12)
+            complete_strategy(PowerLawKernel(1.0, 1.0), e0, VolumeBudget(1e-12))
         assert info.value.records == []
 
     def test_the_rejection_needs_twice_the_step_budget(self):
@@ -215,6 +217,6 @@ class TestStepBound:
         bound = min_space_steps(k, w0, theorem6_threshold(k, y0, w0), c)
         assert 14.0 < bound < 14.1  # the synthesis takes 556 steps
         with pytest.raises(StrategyBudgetError, match="exceeded"):  # the loop's own count
-            complete_strategy_space(k, e0, c, step_budget=math.ceil(bound / 2.0))
+            complete_strategy(k, e0, VolumeBudget(c), step_budget=math.ceil(bound / 2.0))
         with pytest.raises(StrategyBudgetError, match="more than twice the step budget"):
-            complete_strategy_space(k, e0, c, step_budget=math.ceil(bound / 2.0) - 1)
+            complete_strategy(k, e0, VolumeBudget(c), step_budget=math.ceil(bound / 2.0) - 1)

@@ -1,10 +1,13 @@
 """Scenario validation, orchestration, artifacts, replay, and CLI exit codes."""
 
+import dataclasses
+import gc
 import io
 import json
 import math
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +16,9 @@ from flockctrl import (
     ConfigError,
     ControlPlan,
     ExponentialKernel,
-    complete_strategy_1d,
-    complete_strategy_multi_d,
-    complete_strategy_space,
+    MassBudget,
+    VolumeBudget,
+    complete_strategy,
     integrate,
     replay_plan,
     run_scenario,
@@ -258,22 +261,52 @@ class TestRunScenario:
         for name in ("trajectory.csv", "summary.json", "plan.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_the_synthesis_store_is_freed_before_the_artifacts_are_written(
+        self, monkeypatch, tmp_path
+    ):
+        from flockctrl import dynamics, runner
+
+        stores, freed = [], []
+        strategy, to_csv = runner.complete_strategy, dynamics.Trajectory.to_csv
+
+        def keeping_a_weakref(*args, **kwargs):
+            res = strategy(*args, **kwargs)
+            stores.append(weakref.ref(res.trajectory.columns.t.base))
+            return res
+
+        def checking(self, path):
+            gc.collect()
+            freed.append(stores[0]() is None)
+            return to_csv(self, path)
+
+        monkeypatch.setattr(runner, "complete_strategy", keeping_a_weakref)
+        monkeypatch.setattr(dynamics.Trajectory, "to_csv", checking)
+        summary, _, _ = run_scenario(_scenario(dict(VOLUME_SMALL, out=str(tmp_path))))
+        assert summary.steps > 0
+        assert freed == [True]
+
+    @pytest.mark.parametrize("mode", ["mass", "volume"])
+    @pytest.mark.parametrize("c", [0.0, math.nan])
+    def test_a_bad_budget_on_a_scenario_built_directly_is_a_config_error(self, mode, c):
+        s = dataclasses.replace(_scenario(dict(VOLUME_SMALL, mode=mode)), c=c)
+        with pytest.raises(ConfigError, match="c must be a positive finite number"):
+            run_scenario(s)
+
 
 class TestReplay:
     @pytest.mark.parametrize(
-        "strategy, e0, c",
+        "budget, e0",
         [
-            (complete_strategy_1d, uniform_box_ensemble(60, 0.0, 0.3, 0.0, 0.3, seed=5), 0.5),
-            (complete_strategy_multi_d,
-             uniform_box_ensemble(40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5),
-             0.5),
-            (complete_strategy_space, uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5), 1.0),
+            (MassBudget(0.5), uniform_box_ensemble(60, 0.0, 0.3, 0.0, 0.3, seed=5)),
+            (MassBudget(0.5),
+             uniform_box_ensemble(40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5)),
+            (VolumeBudget(1.0), uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5)),
         ],
         ids=["mass_1d", "mass_2d", "volume"],
     )
-    def test_replay_reproduces_synthesis_exactly(self, strategy, e0, c):
+    def test_replay_reproduces_synthesis_exactly(self, budget, e0):
         k = ExponentialKernel(1.0, 1.0)
-        res = strategy(k, e0, c)
+        res = complete_strategy(k, e0, budget)
         assert res.records
         traj = integrate(k, e0, res.plan, res.plan.t_end, dt_max=None)
         np.testing.assert_array_equal(traj.final.x, res.final.x)
@@ -321,7 +354,7 @@ class TestReplay:
 
         k = ExponentialKernel(1.0, 1.0)
         e0 = uniform_box_ensemble(100, 0.0, 0.3, 0.0, 0.3, seed=5)
-        res = complete_strategy_1d(k, e0, 0.5, eta=0.08)
+        res = complete_strategy(k, e0, MassBudget(0.5), eta=0.08)
         w_orig = float(support_box(res.final).w[0])
 
         rng = np.random.default_rng(100)
