@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dynamics import ControlPiece, ControlPlan, SampleStore, Trajectory, integrate
+from .dynamics import _JOIN_TOL, ControlPiece, ControlPlan, SampleStore, Trajectory, integrate
 from .ensemble import (
     Ensemble,
     SupportBox,
@@ -36,7 +36,6 @@ from .kernels import Kernel
 _MASS_TOL = 1e-12
 _CONTRACTION_SLACK = 1e-6
 _BOX_SLACK = 1e-6
-_MIN_SLOT = 1e-9  # ControlPlan's join tolerance: a plan cannot tell a shorter piece apart
 
 
 class AlreadyFlockedSignal(Exception):
@@ -72,10 +71,8 @@ class StepParams:
     """
 
     axis: int
-    c: float
     Y0: float  # spatial extent on the axis
     W0: float  # velocity extent on the axis
-    diam: float  # spatial-diameter surrogate fed to the kernel ratio
     vbar0: float  # velocity barycenter on the axis (normalized frame)
     alpha0: float
     beta0: float
@@ -117,23 +114,16 @@ class StrategyResult:
     terminal_verdict: FlockingVerdict
 
 
-def _extended_slab_masses(coords, w, cuts, eps):
-    """Mass of every widened column [cuts[i-1]-3eps, cuts[i]+3eps] (closed)."""
-    lo = cuts[:-1] - 3.0 * eps
-    hi = cuts[1:] + 3.0 * eps
-    inside = (coords[None, :] >= lo[:, None]) & (coords[None, :] <= hi[:, None])
-    return inside @ w
-
-
 def _largest_widening(coords, w, cuts, c):
-    """Supremum of eps with every widened column mass <= c, on atomic data.
+    """(eps, b): a widening with every widened column mass <= c, on atomic
+    data, and the first widening b that breaks the budget.
 
     The slab masses are right-continuous nondecreasing step functions of eps
     whose jumps happen when a particle enters a widened column; the feasible
-    set is [0, b) for the first violating breakpoint b.  Returns the midpoint
+    set is [0, b) for the first violating breakpoint b.  eps is the midpoint
     of the last feasible gap (a strictly feasible, deterministic choice), or
-    +inf when no widening ever violates the budget, or 0.0 when the budget is
-    violated already at eps = 0.
+    +inf when no widening ever violates the budget (b = +inf), or 0.0 when
+    the budget is violated already at eps = b = 0.
     """
     n = cuts.size - 1
     b_viol = math.inf
@@ -151,13 +141,11 @@ def _largest_widening(coords, w, cuts, c):
         if over.size:
             b_viol = min(b_viol, float(entry[order][over[0]]))
         entries_all.append(entry)
-    if math.isinf(b_viol):
-        return math.inf
-    if b_viol <= 0.0:
-        return 0.0
+    if math.isinf(b_viol) or b_viol <= 0.0:
+        return b_viol, b_viol
     entries = np.concatenate(entries_all)
     prev = float(entries[entries < b_viol].max())
-    return 0.5 * (prev + b_viol)
+    return 0.5 * (prev + b_viol), b_viol
 
 
 def _band_offsets(kernel: Kernel, diam: float, spread: float):
@@ -173,23 +161,34 @@ def _band_offsets(kernel: Kernel, diam: float, spread: float):
     return alpha0, beta0
 
 
-def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepParams:
-    """Step geometry for one axis of a normalized ensemble.
+def _check_budget(owner: str, c) -> None:
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"{owner} c must be a positive finite number, not {c!r}")
 
-    Expects the ensemble translated so x_j in [0, Y_j] and v_j in [0, W_j].
-    The kernel ratio uses the box-diagonal bound on pairwise distances,
-    which reduces to Y + W in one dimension.
-    """
-    if not 0.0 < c:
-        raise ValueError("mass budget c must be positive")
+
+def _step_frame(e: Ensemble, axis: int, c: float, owner: str):
+    """(Y0, W0, diam, vbar0) on the axis of an ensemble translated so x_j in
+    [0, Y_j] and v_j in [0, W_j], once c passes ``owner``'s check; diam, the
+    box-diagonal bound on pairwise distances, feeds the kernel ratio."""
+    _check_budget(owner, c)
     Y = e.x.max(axis=0)
     W = e.v.max(axis=0)
     Y0, W0 = float(Y[axis]), float(W[axis])
     if W0 <= 0.0:
         raise AlreadyFlockedSignal(f"velocity support on axis {axis} is a point")
+    with np.errstate(over="ignore"):  # past 1e154 the squares overflow: diam is inf
+        diam = float(np.linalg.norm(Y + W))
+    return Y0, W0, diam, float(e.w @ e.v[:, axis])
 
-    diam = float(np.linalg.norm(Y + W))
-    vbar0 = float(e.w @ e.v[:, axis])
+
+def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepParams:
+    """Step geometry for one axis of a normalized ensemble under mass budget c.
+
+    The columns widen by the midpoint of the last feasible gap, raised to a
+    floor of 1/2000 of the narrowest column; the floor is refused when it
+    reaches the sweep's first violating breakpoint.
+    """
+    Y0, W0, diam, vbar0 = _step_frame(e, axis, c, "MassBudget")
     alpha0, beta0 = _band_offsets(kernel, diam, max(W0 - vbar0, vbar0))
 
     w_max = float(e.w.max())
@@ -199,29 +198,25 @@ def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepPa
     n = math.ceil(2.0 / c)
     cuts = mass_quantile_cuts(e, axis, c / 2.0, n)[0]
 
-    coords = e.x[:, axis]
-    eps0 = _largest_widening(coords, e.w, cuts, c)
+    eps0, b = _largest_widening(e.x[:, axis], e.w, cuts, c)
     gaps = np.diff(cuts)
     pos = gaps[gaps > 0]
     eps_floor = 0.5e-3 * float(pos.min()) if pos.size else 1e-12
     if math.isinf(eps0):
         eps0 = max(1.0, Y0)
     elif eps0 < eps_floor:
-        eps0 = eps_floor
-        masses = _extended_slab_masses(coords, e.w, cuts, eps0)
-        if np.any(masses > c + _MASS_TOL):
+        if eps_floor >= b:
             raise DegenerateMeasureError(
                 "no positive column widening keeps the budget: an atom cluster "
-                f"exceeds c = {c} already at eps = {eps0:.3e}"
+                f"exceeds c = {c} already at eps = {eps_floor:.3e}"
             )
+        eps0 = eps_floor
 
     T0 = min(eps0 / W0, beta0 / (2.0 * c), 1.0)
     return StepParams(
         axis=axis,
-        c=c,
         Y0=Y0,
         W0=W0,
-        diam=diam,
         vbar0=vbar0,
         alpha0=alpha0,
         beta0=beta0,
@@ -296,9 +291,7 @@ class MassBudget:
     worst_audits: ClassVar[tuple] = ("max_mass_in_omega", "max_u_sup", "max_vbar_drift")
 
     def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            name = type(self).__name__
-            raise ValueError(f"{name} c must be a positive finite number, not {self.c!r}")
+        _check_budget(type(self).__name__, self.c)
 
     def params(self, kernel: Kernel, e: Ensemble, axis: int) -> StepParams:
         return axis_step_params(kernel, e, axis, self.c)
@@ -342,9 +335,9 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
     box = support_box(e)
     params = budget.params(kernel, normalized(e, box), axis)
     slot = params.T0 / params.n
-    if not slot > _MIN_SLOT:
+    if not slot > _JOIN_TOL:
         raise DegenerateMeasureError(
-            f"step pieces of {slot:.3e} fall in a plan's {_MIN_SLOT:g} tolerance")
+            f"step pieces of {slot:.3e} fall in a plan's {_JOIN_TOL:g} tolerance")
     dt = dt_max if dt_max is not None else slot / budget.rk4_per_piece
     frag = ControlPlan(pieces=tuple(budget.pieces(params, t_start, box, dt)))
     traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)

@@ -23,7 +23,6 @@ import numpy as np
 from . import control_mass
 from .control_mass import (
     _BOX_SLACK,
-    AlreadyFlockedSignal,
     ContractionError,
     DegenerateMeasureError,
     MassBudget,
@@ -31,6 +30,7 @@ from .control_mass import (
     StepRecord,
     StrategyBudgetError,
     _band_offsets,
+    _step_frame,
 )
 from .dynamics import ControlPiece, SpaceBand
 from .ensemble import Ensemble, SupportBox, support_box
@@ -41,43 +41,34 @@ def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> StepParams:
     """Band geometry for a normalized 1D ensemble under area budget c: one
     column, [0, Y0], swept for T0 = eps0, with the distance bound Y0 + W0.
 
-    eps0 is the stated closed form min(beta0/2, (sqrt(Y0^2 + 2c(W0+1)) -
-    Y0) / (2(W0+2))); if the resulting band area still exceeds c (the two
-    formulas are not mutually consistent for every input), eps0 is shrunk by
-    bisection until the area audit passes.
+    eps0 is beta0/2 when that band's area is at most c, and otherwise the
+    largest double whose band area 4(W0+2) eps^2 + 4 Y0 eps is at most c:
+    the positive root of area = c, computed without cancellation as
+    c / (2(sqrt(Y0^2 + c(W0+2)) + Y0)), moved by single ulps.  The area is
+    nondecreasing in eps in floating point, so the few ulp steps end there.
+    The root bounds each step: eps0 <= sqrt(c/(W0+2))/2 <= sqrt(2c)/4.
     """
-    if c <= 0.0:
-        raise ValueError("volume budget c must be positive")
     if e.d != 1:
         raise ValueError("volume-budget synthesis is one-dimensional")
-    Y0 = float(e.x[:, 0].max())
-    W0 = float(e.v[:, 0].max())
-    if W0 <= 0.0:
-        raise AlreadyFlockedSignal("velocity support is a point")
-    vbar0 = float(e.w @ e.v[:, 0])
-    alpha0, beta0 = _band_offsets(kernel, Y0 + W0, W0 - vbar0)
+    Y0, W0, diam, vbar0 = _step_frame(e, 0, c, "VolumeBudget")
+    alpha0, beta0 = _band_offsets(kernel, diam, W0 - vbar0)
 
     def band_area(eps):
         return SpaceBand.area({"eps": eps, "y0": Y0, "w0": W0})
 
-    eps0 = min(
-        beta0 / 2.0,
-        (math.sqrt(Y0 * Y0 + 2.0 * c * (W0 + 1.0)) - Y0) / (2.0 * (W0 + 2.0)),
-    )
+    eps0 = beta0 / 2.0
     if band_area(eps0) > c:
-        lo, hi = 0.0, eps0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if band_area(mid) <= c:
-                lo = mid
-            else:
-                hi = mid
-        eps0 = lo
+        # hypot and the split root keep Y0^2 and c(W0+2) from overflowing
+        eps0 = c / (2.0 * (math.hypot(Y0, math.sqrt(c) * math.sqrt(W0 + 2.0)) + Y0))
+        while band_area(eps0) > c:
+            eps0 = math.nextafter(eps0, 0.0)
+        while band_area(math.nextafter(eps0, math.inf)) <= c:
+            eps0 = math.nextafter(eps0, math.inf)
     if eps0 <= 0.0:
         raise DegenerateMeasureError("no positive band width fits the area budget")
 
-    return StepParams(axis=0, c=c, Y0=Y0, W0=W0, diam=Y0 + W0, vbar0=vbar0, alpha0=alpha0,
-                      beta0=beta0, n=1, cuts=np.array([0.0, Y0]), eps0=eps0, T0=eps0)
+    return StepParams(axis=0, Y0=Y0, W0=W0, vbar0=vbar0, alpha0=alpha0, beta0=beta0, n=1,
+                      cuts=np.array([0.0, Y0]), eps0=eps0, T0=eps0)
 
 
 def theorem6_threshold(kernel: Kernel, Y0: float, W0: float) -> float:
@@ -91,7 +82,8 @@ def min_space_steps(kernel: Kernel, W0: float, eta: float, c: float) -> float:
     Along the flow dW/dt >= -(2 phi0 W + 1): the field moves a velocity by at
     most phi0 W, and the band force lies in [-1, 0].  So W reaches eta no
     sooner than t = ln((2 phi0 W0 + 1) / (2 phi0 eta + 1)) / (2 phi0), and a
-    step lasts eps0 <= sqrt(2c)/4, since sqrt(W0 + 1) / (W0 + 2) <= 1/2.
+    step lasts eps0 <= sqrt(c/(W0+2))/2 <= sqrt(2c)/4: the band area
+    4(W0+2) eps0^2 + 4 Y0 eps0 is at most c, and W0 >= 0.
     """
     if W0 <= eta:
         return 0.0

@@ -190,6 +190,11 @@ class ControlPiece:
         )
 
 
+# how far apart a plan's consecutive pieces may start and end: a plan cannot
+# tell apart a piece no longer than this
+_JOIN_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ControlPlan:
     """Contiguous, non-overlapping schedule of control pieces; zero afterwards."""
@@ -199,9 +204,9 @@ class ControlPlan:
     def __post_init__(self):
         pieces = tuple(self.pieces)
         for a, b in zip(pieces, pieces[1:]):
-            if b.t_start < a.t_end - 1e-9:
+            if b.t_start < a.t_end - _JOIN_TOL:
                 raise ValueError("control pieces overlap in time")
-            if b.t_start > a.t_end + 1e-9:
+            if b.t_start > a.t_end + _JOIN_TOL:
                 raise ValueError("control pieces leave a gap in time")
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "_starts", [p.t_start for p in pieces])

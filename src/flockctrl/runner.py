@@ -37,6 +37,7 @@ from .control_mass import (
 )
 from .control_space import VolumeBudget
 from .dynamics import (
+    _JOIN_TOL,
     BANDS,
     ControlPiece,
     ControlPlan,
@@ -529,10 +530,10 @@ _PIECE_KEYS = {*_PIECE_NUMBERS, "kind", "axis", "params"}
 def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
     """The control plan of a replay document; ConfigError at its first flaw.
 
-    Each piece needs finite numbers for its times and frame, a positive
-    duration, an integer axis below ``dimension``, a known kind, and exactly
-    that kind's parameters as finite numbers, positive where the kind says
-    so; ``dt`` may be null or positive.
+    Each piece needs finite numbers for its times and frame, a duration
+    longer than the plan's join tolerance, an integer axis below
+    ``dimension``, a known kind, and exactly that kind's parameters as finite
+    numbers, positive where the kind says so; ``dt`` may be null or positive.
     """
     if not isinstance(plan_doc, dict):
         raise ConfigError(["plan document must be an object"])
@@ -549,8 +550,8 @@ def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
             problem = f"must be an object with keys {sorted(_PIECE_KEYS)}"
         elif not all(_is_number(p[k]) for k in _PIECE_NUMBERS):
             problem = f"{', '.join(_PIECE_NUMBERS)} must be finite numbers"
-        elif not p["t_end"] > p["t_start"]:
-            problem = "must have positive duration"
+        elif not p["t_end"] - p["t_start"] > _JOIN_TOL:
+            problem = f"must last longer than a plan's {_JOIN_TOL:g} join tolerance"
         elif p.get("dt") is not None and not (_is_number(p["dt"]) and p["dt"] > 0):
             problem = "dt must be null or a positive finite number"
         elif not (_is_integer(p["axis"]) and 0 <= p["axis"] < dimension):

@@ -32,6 +32,7 @@ from flockctrl import (
     grid_ensemble,
     mass_quantile_cuts,
     normalized,
+    space_step_params,
     support_box,
     theorem4_threshold,
     uniform_box_ensemble,
@@ -72,7 +73,7 @@ class TestStepParams:
         e = normalized(Ensemble.from_points(x, v))
         p = axis_step_params(ExponentialKernel(1.0, 1.0), e, 0, 0.5)
         assert p.vbar0 == pytest.approx(p.W0 / 2.0, abs=1e-9)
-        phid = ExponentialKernel(1.0, 1.0).phi(p.diam)
+        phid = ExponentialKernel(1.0, 1.0).phi(p.Y0 + p.W0)
         assert p.alpha0 == pytest.approx(1.0 / (1.0 + phid) * p.W0 / 2.0, rel=1e-9)
 
     def test_constant_kernel_factors(self):
@@ -326,11 +327,23 @@ class TestStepBudget:
 
 class TestBudgets:
     @pytest.mark.parametrize("budget", [MassBudget, VolumeBudget])
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_a_c_that_is_not_positive_and_finite_is_rejected(self, budget, c):
         # c = 0 once divided by zero, and a volume c = nan or inf never failed its area audit
         with pytest.raises(ValueError, match=r"c must be a positive finite number"):
             budget(c)
+
+    @pytest.mark.parametrize("geometry, budget", [
+        (lambda e, c: axis_step_params(PowerLawKernel(), e, 0, c), "MassBudget"),
+        (lambda e, c: space_step_params(PowerLawKernel(), e, c), "VolumeBudget"),
+    ], ids=["mass", "volume"])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_the_step_geometries_reject_the_c_their_budgets_reject(self, geometry, budget, c):
+        # a volume c = nan or inf once gave the width beta0/2 with no area bound, and a
+        # mass c = inf failed inside the column cuts
+        e = _normalized_uniform(n=20, seed=4)
+        with pytest.raises(ValueError, match=rf"^{budget} c must be a positive finite number"):
+            geometry(e, c)
 
     def test_the_volume_budget_rejects_a_second_dimension(self):
         e = uniform_box_ensemble(20, [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], seed=1)

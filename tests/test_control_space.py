@@ -23,6 +23,7 @@ from flockctrl import (
     theorem6_threshold,
     uniform_box_ensemble,
 )
+from flockctrl.control_mass import _band_offsets
 from flockctrl.control_space import min_space_steps
 from flockctrl.dynamics import SpaceBand
 
@@ -79,7 +80,10 @@ class TestSpaceStepParams:
         e = _normalized_uniform(seed=6)
         p = space_step_params(PowerLawKernel(1.0, 1.0), e, 0.5)
         assert isinstance(p, StepParams)
-        assert (p.axis, p.n, p.T0, p.diam) == (0, 1, p.eps0, p.Y0 + p.W0)
+        assert (p.axis, p.n, p.T0) == (0, 1, p.eps0)
+        # with the mass step's distance bound, Y0 + W0 in one dimension
+        assert _band_offsets(PowerLawKernel(1.0, 1.0), p.Y0 + p.W0, p.W0 - p.vbar0) == \
+            (p.alpha0, p.beta0)
         assert p.cuts.tolist() == [0.0, p.Y0]
         assert p.W0 - p.T0 / p.n == p.W0 - p.eps0
 

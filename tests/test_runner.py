@@ -330,13 +330,13 @@ class TestReplay:
             assert a.tobytes() == b.tobytes(), name
 
     def test_replay_steps_a_piece_without_dt_by_its_own_length(self, monkeypatch):
-        # at 1/20 of the shortest piece, the flight after it would take 2e10 steps
+        # at 1/20 of the shortest piece, the flight after it would take 1e10 steps
         steps = _count_rk4_steps(monkeypatch)
-        tiny = dict(GOOD_PIECE, t_start=0.1, t_end=0.1 + 1e-9, dt=None)
+        tiny = dict(GOOD_PIECE, t_start=0.1, t_end=0.1 + 2e-9, dt=None)
         plan_doc = {"schema_version": 1, "dimension": 1, "plan": {"pieces": [GOOD_PIECE, tiny]}}
         traj = replay_plan(plan_doc, _scenario(dict(MASS_SMALL, post_horizon=1.0)))
         assert len(steps) <= 250
-        assert traj.columns.t[-1] == pytest.approx(1.1 + 1e-9, abs=1e-12)
+        assert traj.columns.t[-1] == pytest.approx(1.1 + 2e-9, abs=1e-12)
 
     def test_replay_plan_checks_schema(self):
         s = _scenario(MASS_SMALL)
@@ -820,6 +820,32 @@ class TestCli:
                    "v_low": [0.0, 0.0], "v_high": [1.0, 1.0], "counts_x": counts_x, "counts_v": 2}
         s = _scenario(dict(MINIMAL, dimension=2, initial=initial))
         assert s.ensemble.n == n and s.ensemble.d == 2
+
+    @pytest.mark.parametrize("t_end", [5e-13, 2e-9])
+    def test_a_replayed_piece_must_outlast_the_plan_join_tolerance(self, tmp_path, capsys, t_end):
+        # a plan takes a piece no longer than its 1e-9 join tolerance as over at
+        # once: one of 5e-13 was flown uncontrolled, every sample on piece -1
+        piece = dict(GOOD_PIECE, kind="space_band", t_end=t_end, dt=None,
+                     params={"eps": 0.2, "y0": 1.0, "w0": 0.05})
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"schema_version": 1, "dimension": 1, "plan": {"pieces": [piece]}}
+        ))
+        out = tmp_path / "replayed"
+        cfg = self._write_config(tmp_path, dict(MINIMAL, post_horizon=0.0, out=str(out)))
+        status = cli_main(["--config", cfg, "--replay", str(plan)])
+        if t_end < 1e-9:
+            assert status == 2
+            assert ("config error: plan piece 0: must last longer than a plan's 1e-09 join "
+                    "tolerance") in capsys.readouterr().err
+            return
+        assert status == 0
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        cols = header.split(",")
+        samples = [dict(zip(cols, row.split(","))) for row in rows]
+        # the band's plateau holds the whole cloud, x in [0, 0.5] and v in [0, 0.1]
+        assert len(samples) > 2
+        assert {(r["piece_index"], float(r["u_sup"])) for r in samples} == {("0", 1.0)}
 
     def test_good_replay_plan_probe_runs(self, tmp_path):
         cfg = self._write_config(tmp_path, dict(MASS_SMALL, post_horizon=0.0))
