@@ -22,14 +22,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dynamics import _JOIN_TOL, ControlPiece, ControlPlan, SampleStore, Trajectory, integrate
-from .ensemble import (
-    Ensemble,
-    SupportBox,
-    mass_quantile_cuts,
-    normalized,
-    support_box,
+from .dynamics import (
+    _JOIN_TOL, _SAMPLE_TOL, ControlPiece, ControlPlan, SampleStore, Trajectory, integrate,
 )
+from .ensemble import Ensemble, SupportBox, _norm, mass_quantile_cuts, normalized, support_box
 from .flocking import FlockingVerdict, covering_box_test
 from .kernels import Kernel
 
@@ -176,9 +172,7 @@ def _step_frame(e: Ensemble, axis: int, c: float, owner: str):
     Y0, W0 = float(Y[axis]), float(W[axis])
     if W0 <= 0.0:
         raise AlreadyFlockedSignal(f"velocity support on axis {axis} is a point")
-    with np.errstate(over="ignore"):  # past 1e154 the squares overflow: diam is inf
-        diam = float(np.linalg.norm(Y + W))
-    return Y0, W0, diam, float(e.w @ e.v[:, axis])
+    return Y0, W0, _norm(Y, W), float(e.w @ e.v[:, axis])
 
 
 def axis_step_params(kernel: Kernel, e: Ensemble, axis: int, c: float) -> StepParams:
@@ -274,7 +268,7 @@ def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float)
     d = Y0.size
     n = math.ceil(2.0 / c)
     w_star = n * float(W0.sum())
-    w_tilde = float(np.linalg.norm(Y0 + W0 * w_star))
+    w_tilde = _norm(Y0, W0, w_star)
     eta = kernel.tail_integral(w_tilde) / (2.0 * math.sqrt(d))
     return eta, w_star, w_tilde
 
@@ -324,13 +318,13 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
 
     Renormalizes the support box and flies the budget's n pieces, slots of
     T0/n, which must contract W on the axis to W_before - T0/n (+slack) and
-    keep the velocity interval on the axis inside [v_lo, v_lo + W0] at every
-    sample; then the budget runs its own audits.  Returns (ensemble after
-    the step, StepRecord, plan fragment, Trajectory).  By default each piece
-    takes ``budget.rk4_per_piece`` RK4 steps: a mass piece lasts at most
-    beta0/(2 c n), small against the 1/beta0 force stiffness, and the
-    contraction audit rejects the step if discretization ever eats the
-    analytic margin.
+    keep the velocity interval on the axis inside [v_lo, v_lo + W0] and |u|
+    at most 1 at every sample; then the budget runs its own audits.  Returns
+    (ensemble after the step, StepRecord, plan fragment, Trajectory).  By
+    default each piece takes ``budget.rk4_per_piece`` RK4 steps: a mass piece
+    lasts at most beta0/(2 c n), small against the 1/beta0 force stiffness,
+    and the contraction audit rejects the step if discretization ever eats
+    the analytic margin.
     """
     box = support_box(e)
     params = budget.params(kernel, normalized(e, box), axis)
@@ -356,6 +350,9 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
         raise ContractionError("lower velocity edge dropped during step")
     if np.any(lo + cols.W[:, axis] > v_lo + params.W0 + _BOX_SLACK):
         raise ContractionError("upper velocity edge rose during step")
+    max_u_sup = float(cols.u_sup.max())
+    if not max_u_sup <= 1.0:
+        raise ContractionError(f"control force reached |u| = {max_u_sup!r} during step, above 1")
     record = StepRecord(
         params=params,
         t_start=t_start,
@@ -364,7 +361,7 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
         W_after=W_after,
         Y_before=box.y.copy(),
         Y_after=Y_after,
-        max_u_sup=float(cols.u_sup.max()),
+        max_u_sup=max_u_sup,
         max_mass_in_omega=float(cols.mass.max()),
         max_omega_area=float(cols.area.max()),
         max_vbar_drift=float(np.abs(cols.vbar[:, axis] - (v_lo + params.vbar0)).max()),
@@ -417,7 +414,7 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
 
     cols = traj.columns
     for axis, t_done in zip(axes, phase_end_times):
-        if np.any(cols.W[cols.t >= t_done - 1e-12, axis] > eta + _BOX_SLACK):
+        if np.any(cols.W[cols.t >= t_done - _SAMPLE_TOL, axis] > eta + _BOX_SLACK):
             raise ContractionError(
                 f"axis {axis} velocity extent regrew above eta after its phase"
             )

@@ -8,7 +8,7 @@ measures a distance and a time here) and shrinks the velocity extent by at
 least eps.  ``VolumeBudget`` runs these steps through the shared step and
 loop of ``control_mass`` until the extent reaches the flocking threshold
 eta, using total control time at most W0 and spreading the spatial support
-by at most W0^2.  The band's force, membership and area are
+by at most W0^2.  The band's geometry, force and area are
 ``dynamics.SpaceBand``.
 """
 

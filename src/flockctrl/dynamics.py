@@ -53,23 +53,18 @@ class MassBand:
     positive = ("beta", "eps")  # the force divides by these
 
     @staticmethod
-    def force(p, xs, vs):
-        eps, beta = p["eps"], p["beta"]
-        s = vs - p["vbar"]
-        abs_s = np.abs(s)
-        band_inner = p["alpha"] + beta
-        band_outer = p["alpha"] + 4.0 * beta
-        psi_x = np.minimum((xs - p["x_lo"]) / eps, (p["x_hi"] - xs) / eps)
-        psi_v = np.minimum(abs_s - band_inner, band_outer - abs_s) / beta
-        psi = _clip_unit(np.minimum(psi_x, psi_v))
-        return -psi * np.sign(s)
+    def reach(p, xs, vs):
+        """(rx, rv): signed distances into the band along x and |v - vbar|, both >= 0 on it."""
+        s = np.abs(vs - p["vbar"])
+        rx = np.minimum(xs - p["x_lo"], p["x_hi"] - xs)
+        rv = np.minimum(s - (p["alpha"] + p["beta"]), (p["alpha"] + 4.0 * p["beta"]) - s)
+        return rx, rv
 
     @staticmethod
-    def member(p, xs, vs):
-        s = np.abs(vs - p["vbar"])
-        in_x = (xs >= p["x_lo"]) & (xs <= p["x_hi"])
-        in_v = (s >= p["alpha"] + p["beta"]) & (s <= p["alpha"] + 4.0 * p["beta"])
-        return in_x & in_v
+    def force(p, xs, vs):
+        rx, rv = MassBand.reach(p, xs, vs)
+        psi = _clip_unit(np.minimum(rx / p["eps"], rv / p["beta"]))
+        return -psi * np.sign(vs - p["vbar"])
 
     @staticmethod
     def area(p):
@@ -86,19 +81,17 @@ class SpaceBand:
     positive = ("eps",)  # the force divides by it
 
     @staticmethod
-    def force(p, xs, vs):
-        eps, y0, w0 = p["eps"], p["y0"], p["w0"]
-        x_hi = y0 + eps * w0 + eps
-        psi = _clip_unit(np.minimum((xs + eps) / eps, (x_hi - xs) / eps))
-        zeta = -_clip_unit(np.minimum(vs - (w0 - 2.0 * eps), (w0 + 2.0 * eps) - vs) / eps)
-        return psi * zeta
+    def reach(p, xs, vs):
+        """(rx, rv): signed distances into the band along x and v, both >= 0 on it."""
+        eps, w0 = p["eps"], p["w0"]
+        rx = np.minimum(xs + eps, (p["y0"] + eps * w0 + eps) - xs)
+        rv = np.minimum(vs - (w0 - 2.0 * eps), (w0 + 2.0 * eps) - vs)
+        return rx, rv
 
     @staticmethod
-    def member(p, xs, vs):
-        eps, y0, w0 = p["eps"], p["y0"], p["w0"]
-        in_x = (xs >= -eps) & (xs <= y0 + eps * w0 + eps)
-        in_v = (vs >= w0 - 2.0 * eps) & (vs <= w0 + 2.0 * eps)
-        return in_x & in_v
+    def force(p, xs, vs):
+        rx, rv = SpaceBand.reach(p, xs, vs)
+        return -_clip_unit(rx / p["eps"]) * _clip_unit(rv / p["eps"])
 
     @staticmethod
     def area(p):
@@ -162,8 +155,8 @@ class ControlPiece:
 
     def in_omega(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         """Closed-box membership of each particle in the control set."""
-        xs, vs = self._frame_coords(x, v, t)
-        return self._band.member(self.params, xs, vs)
+        rx, rv = self._band.reach(self.params, *self._frame_coords(x, v, t))
+        return np.minimum(rx, rv) >= 0.0
 
     def omega_volume(self) -> float:
         """Lebesgue area of the control set in the (x_axis, v_axis) plane."""
@@ -193,6 +186,8 @@ class ControlPiece:
 # how far apart a plan's consecutive pieces may start and end: a plan cannot
 # tell apart a piece no longer than this
 _JOIN_TOL = 1e-9
+# how far apart two times may be and still be the same sample instant
+_SAMPLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ class ControlPlan:
     def piece_index_at(self, t: float) -> int:
         """Index of the piece active at t, or -1 (pieces own [t_start, t_end))."""
         i = bisect.bisect_right(self._starts, t) - 1
-        if i >= 0 and t < self.pieces[i].t_end - 1e-12:
+        if i >= 0 and t < self.pieces[i].t_end - _SAMPLE_TOL:
             return i
         return -1
 
@@ -288,7 +283,7 @@ def _empty_columns(d: int, rows: int) -> SampleColumns:
 
 def _repeats(t: np.ndarray, later: np.ndarray) -> int:
     """1 if the sample times ``later`` start with a repeat of the last of ``t``, else 0."""
-    return int(t.size > 0 and later.size > 0 and later[0] <= t[-1] + 1e-12)
+    return int(t.size > 0 and later.size > 0 and later[0] <= t[-1] + _SAMPLE_TOL)
 
 
 class SampleStore:
@@ -599,7 +594,7 @@ def decay_rate_estimate(traj: Trajectory, t_from: float = 0.0) -> float:
     when V has already collapsed below 1e-14 at the start of the window.
     """
     c = traj.columns
-    window = c.t >= t_from - 1e-12
+    window = c.t >= t_from - _SAMPLE_TOL
     ts, vs = c.t[window], c.V[window]
     if not ts.size:
         raise ValueError("no samples at or after t_from")

@@ -98,6 +98,12 @@ def support_box(e: Ensemble) -> SupportBox:
     return SupportBox(*support_box_of(e.x, e.v))
 
 
+def _norm(a, b=0.0, s=1.0) -> float:
+    """|a + s b| of box extents a and b: inf, without numpy's warning, past ~1e154."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(a + s * b))
+
+
 def normalized(e: Ensemble, box: SupportBox | None = None) -> Ensemble:
     """Copy of the ensemble translated into the support box frame."""
     if box is None:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, flocking_metrics
+from .ensemble import Ensemble, _norm, flocking_metrics
 from .kernels import Kernel
 
 _BISECT_TOL = 1e-10
@@ -84,8 +84,8 @@ def corollary2_test(kernel: Kernel, X_tilde: float, V_tilde: float) -> FlockingV
 
 def covering_box_test(kernel: Kernel, box) -> tuple[FlockingVerdict, float]:
     """(corollary2_test on a support box's covering radii |Y|/2 and |W|/2, |W|/2)."""
-    v_tilde = 0.5 * float(np.linalg.norm(box.w))
-    return corollary2_test(kernel, 0.5 * float(np.linalg.norm(box.y)), v_tilde), v_tilde
+    v_tilde = 0.5 * _norm(box.w)
+    return corollary2_test(kernel, 0.5 * _norm(box.y), v_tilde), v_tilde
 
 
 def finite_dim_test(kernel: Kernel, e: Ensemble) -> FlockingVerdict:

@@ -38,6 +38,7 @@ from .control_mass import (
 from .control_space import VolumeBudget
 from .dynamics import (
     _JOIN_TOL,
+    _SAMPLE_TOL,
     BANDS,
     ControlPiece,
     ControlPlan,
@@ -93,8 +94,9 @@ class StrategyFailure(RuntimeError):
 @dataclass
 class Scenario:
     dimension: int
-    kernel: dict
-    initial: dict
+    kernel: Kernel
+    # the initial measure; integrate never writes into it
+    ensemble: Ensemble = field(repr=False, compare=False)
     mode: str
     c: float | None
     eta: float | None = None
@@ -104,14 +106,13 @@ class Scenario:
     safety_factor: float = 0.99
     step_budget: int = 100_000
     out: str | None = None
-    # the initial measure validate_config built; integrate never writes into it
-    ensemble: Ensemble | None = field(default=None, repr=False, compare=False)
 
+    # kept while the benchmark's set-up calls them (ROADMAP item 1)
     def build_kernel(self) -> Kernel:
-        return kernel_from_dict(self.kernel)
+        return self.kernel
 
     def build_ensemble(self) -> Ensemble:
-        return self.ensemble if self.ensemble is not None else _build_initial(self.initial)
+        return self.ensemble
 
 
 def _build_initial(spec: dict) -> Ensemble:
@@ -190,9 +191,9 @@ def _out_problem(out: str) -> str | None:
 def validate_config(raw: str) -> Scenario:
     """Parse and validate a JSON scenario, applying documented defaults.
 
-    The initial measure is built here once, after every other check has
-    passed, and kept on the Scenario; the output directory is checked to be
-    creatable, so neither fails after a run.
+    The kernel and the initial measure are built here once, the measure
+    after every other check has passed, and kept on the Scenario; the output
+    directory is checked to be creatable, so neither fails after a run.
     """
     errors = []
     try:
@@ -217,15 +218,15 @@ def validate_config(raw: str) -> Scenario:
     if mode == "volume" and dim != 1:
         errors.append("volume mode is one-dimensional; set dimension = 1")
 
-    kernel = doc.get("kernel")
-    if not isinstance(kernel, dict) or "family" not in kernel:
+    spec = doc.get("kernel")
+    if not isinstance(spec, dict) or "family" not in spec:
         errors.append("kernel spec with a 'family' field is required")
-    elif not all(_is_number(x) for k, val in kernel.items() if k in _KERNEL_NUMBERS
+    elif not all(_is_number(x) for k, val in spec.items() if k in _KERNEL_NUMBERS
                  for x in (val if isinstance(val, list) else [val])):
         errors.append("kernel parameters must be finite numbers")
     else:
         try:
-            kernel_from_dict(kernel)
+            kernel = kernel_from_dict(spec)
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"bad kernel spec: {exc}")
 
@@ -312,7 +313,7 @@ def validate_config(raw: str) -> Scenario:
     return Scenario(
         dimension=dim,
         kernel=kernel,
-        initial=initial,
+        ensemble=e,
         mode=mode,
         c=float(c) if c is not None else None,
         eta=float(eta) if eta is not None else None,
@@ -322,7 +323,6 @@ def validate_config(raw: str) -> Scenario:
         safety_factor=float(sf),
         step_budget=budget,
         out=out,
-        ensemble=e,
     )
 
 
@@ -427,9 +427,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     out = out_dir or s.out
     if out is not None and (problem := _out_problem(out)):
         raise ConfigError([problem])
-    kernel = s.build_kernel()
-    e0 = s.build_ensemble()
-
+    kernel, e0 = s.kernel, s.ensemble
     verdict_before = theorem3_test(kernel, e0)
     try:
         if s.mode == "none":
@@ -458,7 +456,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
 
     control_off = plan.t_end
     cols = traj.columns
-    off = np.flatnonzero(cols.t >= control_off - 1e-12)
+    off = np.flatnonzero(cols.t >= control_off - _SAMPLE_TOL)
     lam_off = float(cols.Lambda[off[0] if off.size else -1])
     lam_final = float(cols.Lambda[-1])
     try:
@@ -587,14 +585,12 @@ def replay_plan(plan_doc: dict, s: Scenario):
     StrategyFailure.
     """
     plan = _parse_plan(plan_doc, s.dimension)
-    kernel = s.build_kernel()
-    e0 = s.build_ensemble()
     try:
         # dt_max=None lets the pieces' synthesis-time step hints drive the
         # integrator, reproducing the original run exactly on the control window
-        traj = integrate(kernel, e0, plan, plan.t_end, dt_max=s.dt_max)
+        traj = integrate(s.kernel, s.ensemble, plan, plan.t_end, dt_max=s.dt_max)
         if s.post_horizon > 0:
-            post = _free_flight(kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max)
+            post = _free_flight(s.kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max)
             traj = traj.extend(post)
     except FlightTooLongError as exc:  # raised before the flight's first step
         raise ConfigError([f"replayed plan: {exc}"]) from exc

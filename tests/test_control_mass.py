@@ -202,10 +202,13 @@ class TestStepAuditsFire:
             (_mass_step, "mass", 0, 1.0, "control set carried mass"),
             (_volume_step, "area", 0, 1.0, "band area exceeded"),
             (_volume_step, "Y", -1, 1.0, "spatial spread exceeded"),
+            (_mass_step, "u_sup", 0, 1.0, "control force reached"),
+            (_volume_step, "u_sup", 0, 1.0, "control force reached"),
+            (_volume_step, "u_sup", -1, math.nan, "control force reached"),
         ],
         ids=["contraction-mass", "contraction-volume", "lower-edge-mass", "lower-edge-volume",
              "upper-edge-mass", "upper-edge-volume", "drift", "mass-budget", "area-budget",
-             "spread"],
+             "spread", "u_sup-mass", "u_sup-volume", "u_sup-nan"],
     )
     def test_audit_raises_its_own_message(self, monkeypatch, step, column, row, delta, message):
         self._doctor(monkeypatch, column, row, delta)

@@ -68,15 +68,21 @@ class TestControlPiece:
             ControlPiece(0.0, 1.0, kind="mystery", axis=0, t_ref=0.0,
                          x_shift=0.0, v_shift=0.0)
 
-    def test_force_bounded_and_supported_on_omega(self):
+    @pytest.mark.parametrize(
+        "piece",
+        [_mass_piece(), ControlPiece(0.0, 1.0, "space_band", axis=0, t_ref=0.0, x_shift=0.0,
+                                     v_shift=0.0, params={"eps": 0.25, "y0": 1.0, "w0": 0.5})],
+        ids=["mass_band", "space_band"],
+    )
+    def test_force_bounded_and_supported_on_omega(self, piece):
         rng = np.random.default_rng(0)
-        piece = _mass_piece()
         x = rng.uniform(-2.0, 2.0, size=(500, 1))
         v = rng.uniform(-3.0, 3.0, size=(500, 1))
         f = piece.force(x, v, 0.0)
         assert np.all(np.abs(f) <= 1.0 + 1e-12)
         outside = ~piece.in_omega(x, v, 0.0)
         assert np.all(f[outside, 0] == 0.0)
+        assert not outside.all()
 
     def test_plateau_force_is_inward_unit(self):
         piece = _mass_piece()

@@ -17,6 +17,7 @@ from flockctrl import (
     ControlPlan,
     ExponentialKernel,
     MassBudget,
+    Scenario,
     VolumeBudget,
     complete_strategy,
     integrate,
@@ -285,6 +286,14 @@ class TestRunScenario:
         assert summary.steps > 0
         assert freed == [True]
 
+    def test_a_scenario_is_built_with_its_measure(self):
+        s = _scenario(MINIMAL)
+        with pytest.raises(TypeError, match="ensemble"):
+            Scenario(dimension=1, kernel=s.kernel, mode="none", c=None)
+        again = Scenario(dimension=1, kernel=s.kernel, ensemble=s.ensemble, mode="none", c=None,
+                         horizon=5.0)
+        assert run_scenario(again)[0] == run_scenario(s)[0]
+
     @pytest.mark.parametrize("mode", ["mass", "volume"])
     @pytest.mark.parametrize("c", [0.0, math.nan])
     def test_a_bad_budget_on_a_scenario_built_directly_is_a_config_error(self, mode, c):
@@ -508,6 +517,48 @@ class TestCli:
         cfg = self._write_config(tmp_path, dict(MASS_SMALL, out=str(tmp_path / "art")))
         assert cli_main(["--config", cfg]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "dim, x, v, code",
+        [(1, 1e200, 1.0, 0), (2, 1e200, 1.0, 0), (2, 1.0, 1e160, 3)],
+        ids=["Y-1d", "Y-2d", "W-2d"],
+    )
+    def test_a_support_past_1e154_prints_no_numpy_warning(
+        self, tmp_path, capsys, dim, x, v, code
+    ):
+        # the squares of the box norms overflow to inf, which numpy would warn of
+        doc = dict(
+            MINIMAL, mode="mass", c=1, eta=0.5, dimension=dim,
+            kernel={"family": "custom", "radii": [0.0, 10.0], "values": [1.0, 0.5]},
+            initial={"kind": "explicit", "x": [[0.0] * dim, [x] * dim],
+                     "v": [[0.0] * dim, [v] * dim]},
+        )
+        assert cli_main(["--config", self._write_config(tmp_path, doc)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+            assert json.loads(out)["terminal_box"]["Y"] == [x] * dim
+        else:  # the step is too short for a plan, and only that is reported
+            assert re.fullmatch(r"strategy failure: step pieces of \S+ fall in .*\n", err)
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["run", "replay"])
+    def test_a_cli_run_builds_its_kernel_once(self, tmp_path, monkeypatch, replay):
+        from flockctrl import runner
+
+        specs = []
+        build = runner.kernel_from_dict
+        monkeypatch.setattr(runner, "kernel_from_dict",
+                            lambda spec: specs.append(spec) or build(spec))
+        argv = ["--config", self._write_config(tmp_path, MINIMAL)]
+        if replay:
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(
+                {"schema_version": 1, "dimension": 1, "plan": {"pieces": []}}
+            ))
+            argv += ["--replay", str(plan)]
+        assert cli_main(argv) == 0
+        assert specs == [MINIMAL["kernel"]]
 
     def test_verbose_reports_what_the_run_cost_in_one_line(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, dict(MASS_SMALL, out=str(tmp_path / "art")))
