@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dynamics import (
-    _JOIN_TOL, _SAMPLE_TOL, ControlPiece, ControlPlan, SampleStore, Trajectory, integrate,
+    _JOIN_TOL, _SAMPLE_TOL, ControlPiece, ControlPlan, Trajectory, integrate,
 )
 from .ensemble import Ensemble, SupportBox, _norm, mass_quantile_cuts, normalized, support_box
 from .flocking import FlockingVerdict, covering_box_test
@@ -267,8 +267,9 @@ def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float)
     W0 = np.asarray(W0, dtype=float)
     d = Y0.size
     n = math.ceil(2.0 / c)
-    w_star = n * float(W0.sum())
-    w_tilde = _norm(Y0, W0, w_star)
+    with np.errstate(over="ignore", invalid="ignore"):  # extents past the largest double
+        w_star = n * float(W0.sum())
+        w_tilde = _norm(Y0, W0, w_star)
     eta = kernel.tail_integral(w_tilde) / (2.0 * math.sqrt(d))
     return eta, w_star, w_tilde
 
@@ -377,7 +378,7 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
 
     With eta omitted the budget computes it from the initial box so that the
     terminal configuration is certified inside the flocking region.  Pieces
-    go on a running list and samples into one SampleStore, so the loop is
+    go on a running list and samples into one Trajectory log, so the loop is
     linear in the steps.  Then it audits the budget's guarantees: no
     finished axis regrows above eta, the total control time and the spatial
     extent on axis 0 stay within the budget's bounds.
@@ -387,7 +388,7 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
         raise DegenerateMeasureError(f"eta must be positive, not {eta}")
     records: list[StepRecord] = []
     pieces: list[ControlPiece] = []
-    store = SampleStore(e0.d)
+    traj = Trajectory.empty(e0)
     e, t_end, W = e0, 0.0, support_box(e0).w
     phase_end_times = []
     for axis in axes:
@@ -403,14 +404,13 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
             )
             records.append(rec)
             # the step numbers its pieces from 0; the plan, from len(pieces)
-            store.append(step_traj, piece_offset=len(pieces))
+            traj.append(step_traj, piece_offset=len(pieces))
             pieces.extend(frag.pieces)
             t_end, W = rec.t_end, rec.W_after
         phase_end_times.append(t_end)
     if not records:  # no step: the initial state, against no piece
-        store.record(0.0, e0.x, e0.v, e0.w, None, -1)
+        traj.record(0.0, e0.x, e0.v, e0.w, None, -1)
     plan = ControlPlan(pieces=tuple(pieces))
-    traj = store.trajectory(e)
 
     cols = traj.columns
     for axis, t_done in zip(axes, phase_end_times):

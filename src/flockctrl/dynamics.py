@@ -283,80 +283,7 @@ def _empty_columns(d: int, rows: int) -> SampleColumns:
 
 def _repeats(t: np.ndarray, later: np.ndarray) -> int:
     """1 if the sample times ``later`` start with a repeat of the last of ``t``, else 0."""
-    return int(t.size > 0 and later.size > 0 and later[0] <= t[-1] + _SAMPLE_TOL)
-
-
-class SampleStore:
-    """SampleColumns under construction: preallocated arrays that double when full.
-
-    ``record`` appends the sample of a raw (x, v, w) state and ``append`` the
-    rows of a later trajectory, so a synthesis that shares one store pays
-    time linear in its samples.  ``trajectory`` hands out the rows so far;
-    rows once written never change.
-    """
-
-    def __init__(self, d: int, rows: int = 16):
-        self.n = 0
-        self._cols = _empty_columns(d, rows)
-
-    def _reserve(self, rows: int) -> SampleColumns:
-        cap = self._cols.t.shape[0]
-        if self.n + rows > cap:
-            grown = _empty_columns(self._cols.Y.shape[1], max(2 * cap, self.n + rows))
-            for new, old in zip(grown, self._cols):
-                new[: self.n] = old[: self.n]
-            self._cols = grown
-        return self._cols
-
-    def record(self, t, x, v, w, piece, piece_idx):
-        """Append the sample of state (x, v, w) at time t, audited against ``piece``.
-
-        Returns ``piece.force_axis(x, v, t)`` (None without a piece): an RK4
-        step of the same piece that starts from this state uses it as its
-        first stage.
-        """
-        c = self._reserve(1)
-        i = self.n
-        c.t[i] = t
-        c.Y[i], c.W[i], c.x_shift[i], c.v_shift[i] = support_box_of(x, v)
-        c.xbar[i], c.vbar[i], c.Lambda[i], c.X[i], c.V[i] = flocking_metrics_of(x, v, w)
-        c.piece[i] = piece_idx
-        u = None
-        if piece is None:
-            c.mass[i] = c.area[i] = c.u_sup[i] = 0.0
-        else:
-            u = piece.force_axis(x, v, t)
-            c.mass[i] = w[piece.in_omega(x, v, t)].sum()
-            c.area[i] = piece.omega_volume()
-            c.u_sup[i] = np.abs(u).max()
-        self.n = i + 1
-        return u
-
-    def append(self, traj: "Trajectory", piece_offset: int = 0) -> None:
-        """Append a later trajectory's rows, dropping a first one that repeats the last.
-
-        ``piece_offset`` is added to the rows' piece indices, but not to -1:
-        the pieces ``traj`` flew come after that many others in the plan.
-        """
-        src = traj.columns
-        skip = _repeats(self._cols.t[: self.n], src.t)
-        rows = src.t.size - skip
-        c = self._reserve(rows)
-        for dst, col in zip(c, src):
-            dst[self.n : self.n + rows] = col[skip:]
-        if piece_offset:
-            piece = c.piece[self.n : self.n + rows]
-            piece[piece >= 0] += piece_offset
-        self.n += rows
-
-    def trajectory(self, final: Ensemble) -> "Trajectory":
-        """The rows recorded so far, as a Trajectory that ends in ``final``."""
-        views = []
-        for col in self._cols:
-            view = col[: self.n]
-            view.flags.writeable = False
-            views.append(view)
-        return Trajectory(SampleColumns(*views), final)
+    return int(t.size > 0 and later.size > 0 and abs(later[0] - t[-1]) <= _SAMPLE_TOL)
 
 
 class SampleRows(Sequence):
@@ -391,22 +318,96 @@ _CSV_CHUNK = 1024  # trajectory.csv rows converted to text at a time
 
 
 class Trajectory:
-    """The recorded samples of a run, as read-only columns, and its final state.
+    """The append-only log of a run's samples, and the state it ends in.
 
-    ``columns`` (:class:`SampleColumns`) is what the audits and the CSV read.
-    ``samples`` shows the same values as a read-only sequence of
-    :class:`TrajectorySample` rows, built on access.
+    ``record`` appends a raw state's sample and ``append`` a later trajectory's
+    rows, into arrays that double when full, so a run keeps one log and never
+    copies it.  Rows once written never change, and each comes after the last.
+    ``columns`` (:class:`SampleColumns`), read-only views of the rows so far,
+    is what the audits and the CSV read.  ``samples`` shows the same values
+    as a read-only sequence of :class:`TrajectorySample` rows, built on access.
     """
 
     def __init__(self, columns: SampleColumns, final: Ensemble):
         if np.any(columns.t[1:] <= columns.t[:-1]):
             raise ValueError("sample times must be strictly increasing")
-        self.columns = columns
-        self.final = final
+        self._cols, self._n, self.final = columns, columns.t.shape[0], final
+
+    @classmethod
+    def empty(cls, start: Ensemble, rows: int = 16) -> "Trajectory":
+        """A log of no rows yet that ends in ``start``, with room for ``rows``."""
+        log = cls(_empty_columns(start.d, 0), start)
+        log._reserve(rows)
+        return log
+
+    @property
+    def columns(self) -> SampleColumns:
+        views = []
+        for col in self._cols:
+            view = col[: self._n]
+            view.flags.writeable = False
+            views.append(view)
+        return SampleColumns(*views)
 
     @property
     def samples(self) -> SampleRows:
         return SampleRows(self.columns)
+
+    def _reserve(self, rows: int) -> SampleColumns:
+        cap = self._cols.t.shape[0]
+        if self._n + rows > cap:
+            grown = _empty_columns(self._cols.Y.shape[1], max(2 * cap, self._n + rows))
+            for new, old in zip(grown, self._cols):
+                new[: self._n] = old[: self._n]
+            self._cols = grown
+        return self._cols
+
+    def record(self, t, x, v, w, piece, piece_idx):
+        """Append the sample of state (x, v, w) at time t, audited against ``piece``.
+
+        Returns ``piece.force_axis(x, v, t)`` (None without a piece): an RK4
+        step of the same piece that starts from this state uses it as its
+        first stage.
+        """
+        if self._n and not t > self._cols.t[self._n - 1]:
+            raise ValueError("sample times must be strictly increasing")
+        c = self._reserve(1)
+        i = self._n
+        c.t[i] = t
+        c.Y[i], c.W[i], c.x_shift[i], c.v_shift[i] = support_box_of(x, v)
+        c.xbar[i], c.vbar[i], c.Lambda[i], c.X[i], c.V[i] = flocking_metrics_of(x, v, w)
+        c.piece[i] = piece_idx
+        u = None
+        if piece is None:
+            c.mass[i] = c.area[i] = c.u_sup[i] = 0.0
+        else:
+            u = piece.force_axis(x, v, t)
+            c.mass[i] = w[piece.in_omega(x, v, t)].sum()
+            c.area[i] = piece.omega_volume()
+            c.u_sup[i] = np.abs(u).max()
+        self._n = i + 1
+        return u
+
+    def append(self, traj: "Trajectory", piece_offset: int = 0) -> None:
+        """Append a later trajectory's rows, dropping a first one that repeats the
+        last, and end in its final state.
+
+        ``piece_offset`` is added to the rows' piece indices, but not to -1:
+        the pieces ``traj`` flew come after that many others in the plan.
+        """
+        src = traj.columns
+        skip = _repeats(self._cols.t[: self._n], src.t)
+        rows = src.t.size - skip
+        if rows and self._n and not src.t[skip] > self._cols.t[self._n - 1]:
+            raise ValueError("sample times must be strictly increasing")
+        c = self._reserve(rows)
+        for dst, col in zip(c, src):
+            dst[self._n : self._n + rows] = col[skip:]
+        if piece_offset:
+            piece = c.piece[self._n : self._n + rows]
+            piece[piece >= 0] += piece_offset
+        self._n += rows
+        self.final = traj.final
 
     def extend(self, other: "Trajectory") -> "Trajectory":
         """Concatenate a later trajectory, dropping its duplicated first sample.
@@ -414,10 +415,10 @@ class Trajectory:
         The joined columns are allocated at exactly the joined row count.
         """
         t, later = self.columns.t, other.columns.t
-        store = SampleStore(self.final.d, t.size + later.size - _repeats(t, later))
-        store.append(self)
-        store.append(other)
-        return store.trajectory(other.final)
+        joined = Trajectory.empty(self.final, t.size + later.size - _repeats(t, later))
+        joined.append(self)
+        joined.append(other)
+        return joined
 
     def to_csv(self, path) -> None:
         c = self.columns
@@ -477,7 +478,7 @@ def _rk4_segment(kernel, x, v, w, piece, t0, t1, u0=None):
 
 # The most RK4 steps one flight may take.  A flight records at most one
 # sample per step (a free flight, one per 10), so this also bounds its
-# sample store.  The longest flight of the test suite takes 10,000 steps, and
+# sample log.  The longest flight of the test suite takes 10,000 steps, and
 # a replay of the benchmark's volume_1d plan 11,596.
 MAX_FLIGHT_STEPS = 1_000_000
 
@@ -548,7 +549,7 @@ def integrate(
     interior step.  Each sample's metrics, support box and constraint audits
     (mass in omega, omega area, sup |u| against the active piece) go straight
     from the raw (x, v) arrays into the columns of the returned trajectory
-    (see :class:`SampleStore`).  The audit's force at a sample is the first
+    (see :meth:`Trajectory.record`).  The audit's force at a sample is the first
     stage of the next RK4 step when that step stays in the same piece, so it
     is evaluated once.
 
@@ -562,10 +563,10 @@ def integrate(
     """
     segments = flight_segments(plan, horizon, dt_max, t0)
     x, v, w = e0.x.copy(), e0.v.copy(), e0.w
-    store = SampleStore(e0.d)
+    log = Trajectory.empty(e0)
     piece_idx = plan.piece_index_at(t0)
     # u is the force of piece piece_idx at the current state, when an audit has it
-    u = store.record(t0, x, v, w, plan.pieces[piece_idx] if piece_idx >= 0 else None, piece_idx)
+    u = log.record(t0, x, v, w, plan.pieces[piece_idx] if piece_idx >= 0 else None, piece_idx)
 
     # a state that overflows raises IntegrationError, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
@@ -582,9 +583,10 @@ def integrate(
                 if k == nsteps - 1 or (k + 1) % sample_stride == 0:
                     t_now = seg_end if k == nsteps - 1 else seg_start + (k + 1) * dt
                     # audit against the piece governing the step just taken
-                    u = store.record(t_now, x, v, w, piece, piece_idx)
+                    u = log.record(t_now, x, v, w, piece, piece_idx)
 
-    return store.trajectory(Ensemble(x=x, v=v, w=w))
+    log.final = Ensemble(x=x, v=v, w=w)
+    return log
 
 
 def decay_rate_estimate(traj: Trajectory, t_from: float = 0.0) -> float:

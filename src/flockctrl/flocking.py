@@ -37,16 +37,20 @@ class FlockingVerdict:
 def _solve_xm(kernel: Kernel, X0: float, V0: float) -> float:
     """Smallest X_M >= X0 with int_{X0}^{X_M} phi(2x) dx = V0, by bisection.
 
-    +inf when X_M lies beyond X0 + 1e12, as it can for gamma near 1/2."""
+    +inf (not resolved) when X_M lies beyond X0 + 1e12, as it can for gamma
+    near 1/2, or when the tail from X0 diverges."""
     if V0 <= 0.0:
         return X0
 
     base = kernel.tail_integral(X0)
+    if math.isinf(base):
+        return math.inf
 
     def consumed(xm: float) -> float:
         return base - kernel.tail_integral(xm)
 
-    hi = X0 + 1.0
+    # past 2^53, X0 + 1.0 is X0 itself, and the bracket would never grow
+    hi = X0 + max(1.0, math.ulp(X0))
     while consumed(hi) <= V0:
         hi = X0 + 2.0 * (hi - X0)
         if hi > X0 + 1e12:

@@ -304,8 +304,11 @@ def validate_config(raw: str) -> Scenario:
     except MemoryError as exc:
         asked = {k: initial[k] for k in ("particles", "counts_x", "counts_v") if k in initial}
         raise ConfigError([f"initial measure {asked} does not fit in memory"]) from exc
-    if not (np.all(np.isfinite(e.x)) and np.all(np.isfinite(e.v))):
-        errors.append("initial positions and velocities must be finite")
+    # a span past the largest double is inf, and one over inf or NaN is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        spans = np.ptp(e.x, axis=0), np.ptp(e.v, axis=0)
+    if not all(np.all(np.isfinite(span)) for span in spans):
+        errors.append("initial positions and velocities must be finite and span a finite range")
     if e.d != dim:
         errors.append(f"initial measure has dimension {e.d}, scenario says {dim}")
     if errors:
@@ -443,10 +446,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             )
             plan, records, eta = result.plan, result.records, result.eta
             total_time, final, traj = result.total_control_time, result.final, result.trajectory
-            del result  # so that the join frees the synthesis store it copies
             if s.post_horizon > 0:
-                post = _free_flight(kernel, final, plan.t_end, s.post_horizon, s.dt_max)
-                traj = traj.extend(post)
+                traj.append(_free_flight(kernel, final, plan.t_end, s.post_horizon, s.dt_max))
     except FlightTooLongError as exc:  # a step's flight under a dt_max far below its length
         raise ConfigError([str(exc)]) from exc
     except (
@@ -568,9 +569,12 @@ def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
             continue
         raise ConfigError([f"plan piece {i}: {problem}"])
     try:
-        return ControlPlan.from_dict(plan)
+        plan = ControlPlan.from_dict(plan)
     except ValueError as exc:  # pieces that overlap or leave a gap
         raise ConfigError([f"bad plan: {exc}"]) from exc
+    if plan.t_end < 0.0:  # a replay flies from t = 0 to the plan's end
+        raise ConfigError([f"the plan ends at t = {plan.t_end!r}, before t = 0"])
+    return plan
 
 
 def replay_plan(plan_doc: dict, s: Scenario):
@@ -590,8 +594,7 @@ def replay_plan(plan_doc: dict, s: Scenario):
         # integrator, reproducing the original run exactly on the control window
         traj = integrate(s.kernel, s.ensemble, plan, plan.t_end, dt_max=s.dt_max)
         if s.post_horizon > 0:
-            post = _free_flight(s.kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max)
-            traj = traj.extend(post)
+            traj.append(_free_flight(s.kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max))
     except FlightTooLongError as exc:  # raised before the flight's first step
         raise ConfigError([f"replayed plan: {exc}"]) from exc
     except IntegrationError as exc:

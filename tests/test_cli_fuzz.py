@@ -253,6 +253,9 @@ def _run(scenario, replay):
         dict(_PIECE_DOC, kind="space_band", axis=1, params={"eps": 0.1, "y0": 1.0, "w0": 0.5}),
     ]}}),
 )
+# a replayed plan that ends before t = 0, once flown over a negative horizon
+@example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
+    "pieces": [dict(_PIECE_DOC, t_start=-2.0, t_end=-1.0, t_ref=-2.0)]}}))
 def test_cli_exits_0_2_or_3_without_a_traceback(scenario, replay):
     status, err = _run(scenario, replay)
     event(f"exit {status}")

@@ -1,5 +1,6 @@
 """Integrator, control plans, and trajectory diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,7 +25,6 @@ from flockctrl import (
 from flockctrl.dynamics import (
     MAX_FLIGHT_STEPS,
     FlightTooLongError,
-    SampleStore,
     flight_segments,
 )
 
@@ -32,13 +32,13 @@ from flockctrl.dynamics import (
 def _recorded_states(monkeypatch):
     """A list that gets each sampled state, as an Ensemble, when integrate records it."""
     states = []
-    record = SampleStore.record
+    record = Trajectory.record
 
     def keeping(self, t, x, v, w, piece, piece_idx):
         states.append(Ensemble(x=x.copy(), v=v.copy(), w=w))
         return record(self, t, x, v, w, piece, piece_idx)
 
-    monkeypatch.setattr(SampleStore, "record", keeping)
+    monkeypatch.setattr(Trajectory, "record", keeping)
     return states
 
 
@@ -361,7 +361,7 @@ class TestSampleColumns:
         states = _recorded_states(monkeypatch)
         traj = integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.01)
         times = traj.columns.t
-        assert len(traj.samples) > 16  # the store grew past its first allocation
+        assert len(traj.samples) > 16  # the log grew past its first allocation
         assert len(states) == len(traj.samples)
         for i, row in enumerate(traj.samples):
             s = states[i]
@@ -397,12 +397,12 @@ class TestSampleColumns:
                              sample_stride=stride).final
 
         finals = [final(stride) for stride in (1, 3, 7)]
-        record = SampleStore.record
+        record = Trajectory.record
 
         def record_without_sharing(self, *args):
             record(self, *args)  # the next step evaluates its first stage itself
 
-        monkeypatch.setattr(SampleStore, "record", record_without_sharing)
+        monkeypatch.setattr(Trajectory, "record", record_without_sharing)
         reference = final(1)
         for f in finals:
             assert _bits(f.x, f.v) == _bits(reference.x, reference.v)
@@ -446,6 +446,38 @@ class TestSampleColumns:
         rows = a.columns.t.size + b.columns.t.size - 1
         for name, col in zip(joined.columns._fields, joined.columns):
             assert col.shape[0] == col.base.shape[0] == rows, name
+
+    def test_append_joins_in_place_and_offsets_the_pieces(self):
+        k = PowerLawKernel(1.0, 1.0)
+        e, plan, horizon = _column_case("space_band")
+        a = integrate(k, e, ControlPlan(), horizon, dt_max=0.01)
+        later = ControlPlan(pieces=(dataclasses.replace(plan.pieces[0], t_start=0.2, t_end=0.33),))
+        b = integrate(k, a.final, later, 0.2, dt_max=0.01, t0=a.columns.t[-1])
+        assert set(b.columns.piece.tolist()) == {0, -1}
+        expected = a.extend(b).columns
+        rows = a.columns.t.size
+        a.append(b, piece_offset=2)
+        for name, col in zip(expected._fields, a.columns):
+            if name != "piece":
+                assert _bits(col) == _bits(getattr(expected, name)), name
+        piece = a.columns.piece
+        assert piece[rows:].tolist() == [-1 if p < 0 else p + 2 for p in b.columns.piece[1:]]
+        assert a.final is b.final
+
+    def test_a_row_not_after_the_last_is_refused_where_it_enters(self):
+        e, plan, horizon = _column_case("empty")
+        log = Trajectory.empty(e)
+        log.record(1.0, e.x, e.v, e.w, None, -1)
+        for t in (1.0, 0.5):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                log.record(t, e.x, e.v, e.w, None, -1)
+        # a first row within the tolerance of the last is a repeat and dropped;
+        # one before it, or a row after the repeat that is not later, is refused
+        for times in ([0.5, 2.0], [1.0 - 1e-13, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                log.append(_synthetic_traj(times, [1.0, 1.0]))
+        log.append(_synthetic_traj([1.0, 2.0], [1.0, 1.0]))
+        assert log.columns.t.tolist() == [1.0, 2.0]
 
 
 class TestFlightCap:

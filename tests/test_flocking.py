@@ -11,6 +11,7 @@ from flockctrl import (
     Ensemble,
     ExponentialKernel,
     PowerLawKernel,
+    TabulatedKernel,
     corollary2_test,
     finite_dim_test,
     flocking_metrics,
@@ -52,6 +53,20 @@ class TestTheorem3:
         v = theorem3_test(PowerLawKernel(1.0, 0.51), e)
         assert v.in_region
         assert v.X_M == math.inf
+
+    @pytest.mark.parametrize(
+        "kernel, root",
+        [
+            (TabulatedKernel(radii=(0.0, 1.0), values=(1.0, 0.5)), 2.0),
+            (PowerLawKernel(1.0, 0.5), 0.5 * math.sinh(math.asinh(2.0) + 1.0)),
+        ],
+        ids=["tabulated", "power_law_half"],
+    )
+    def test_a_divergent_tail_never_understates_xm(self, kernel, root):
+        # X0 = 1, V0 = 1/2: the tail from X0 is infinite, but X_M is finite
+        v = theorem3_test(kernel, Ensemble.from_points([0.0, 2.0], [0.0, 1.0]))
+        assert v.in_region
+        assert v.X_M >= root
 
     def test_divergent_kernel_unconditional(self):
         e = uniform_box_ensemble(10, 0.0, 1.0, -5.0, 5.0, seed=1)

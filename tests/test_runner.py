@@ -1,13 +1,15 @@
 """Scenario validation, orchestration, artifacts, replay, and CLI exit codes."""
 
 import dataclasses
-import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
-import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,29 +264,36 @@ class TestRunScenario:
         for name in ("trajectory.csv", "summary.json", "plan.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_the_synthesis_store_is_freed_before_the_artifacts_are_written(
-        self, monkeypatch, tmp_path
-    ):
-        from flockctrl import dynamics, runner
+    def test_a_controlled_run_returns_its_synthesis_log(self, monkeypatch, tmp_path):
+        from flockctrl import runner
 
-        stores, freed = [], []
-        strategy, to_csv = runner.complete_strategy, dynamics.Trajectory.to_csv
+        logs, strategy = [], runner.complete_strategy
 
-        def keeping_a_weakref(*args, **kwargs):
+        def keeping(*args, **kwargs):
             res = strategy(*args, **kwargs)
-            stores.append(weakref.ref(res.trajectory.columns.t.base))
+            logs.append((res.trajectory, res.trajectory.columns.t.size))
             return res
 
-        def checking(self, path):
-            gc.collect()
-            freed.append(stores[0]() is None)
-            return to_csv(self, path)
+        monkeypatch.setattr(runner, "complete_strategy", keeping)
+        s = _scenario(dict(VOLUME_SMALL, post_horizon=0.5, out=str(tmp_path)))
+        summary, traj, plan = run_scenario(s)
+        [(log, rows)] = logs
+        # the post-control flight went into the synthesis log, not into a copy of it
+        assert summary.steps > 0 and traj is log
+        assert traj.columns.t.size > rows and traj.columns.t[rows - 1] == plan.t_end
 
-        monkeypatch.setattr(runner, "complete_strategy", keeping_a_weakref)
-        monkeypatch.setattr(dynamics.Trajectory, "to_csv", checking)
-        summary, _, _ = run_scenario(_scenario(dict(VOLUME_SMALL, out=str(tmp_path))))
-        assert summary.steps > 0
-        assert freed == [True]
+    def test_neither_a_run_nor_a_replay_joins_trajectories_by_copy(self, monkeypatch):
+        from flockctrl import dynamics
+
+        def refuse(self, other):
+            raise AssertionError("Trajectory.extend copies the rows of a run")
+
+        s = _scenario(dict(VOLUME_SMALL, post_horizon=0.5))
+        monkeypatch.setattr(dynamics.Trajectory, "extend", refuse)
+        _, run, plan = run_scenario(s)
+        plan_doc = {"schema_version": 1, "dimension": s.dimension, "plan": plan.to_dict()}
+        replayed = replay_plan(plan_doc, s)
+        assert replayed.columns.t.tobytes() == run.columns.t.tobytes()
 
     def test_a_scenario_is_built_with_its_measure(self):
         s = _scenario(MINIMAL)
@@ -541,6 +550,56 @@ class TestCli:
             assert json.loads(out)["terminal_box"]["Y"] == [x] * dim
         else:  # the step is too short for a plan, and only that is reported
             assert re.fullmatch(r"strategy failure: step pieces of \S+ fall in .*\n", err)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "doc, code, err",
+        [
+            (dict(MINIMAL, initial={"kind": "explicit", "x": [-1e308, 1e308], "v": [0.0, 1.0]}),
+             2, "config error: initial positions and velocities must be finite and span a "
+             "finite range\n"),
+            (dict(MINIMAL, dimension=2, mode="mass", c=1,
+                  kernel={"family": "exponential", "K": 1000.0, "lam": 0.001},
+                  initial={"kind": "explicit", "x": [[0.0, 10.0], [1.0, 1.0]],
+                           "v": [[0.5, 0.5], [0.5, 1e308]]}),
+             3, "strategy failure: eta must be positive, not nan\n"),
+            (dict(MINIMAL, dimension=2, mode="mass", c=0.5,
+                  kernel={"family": "power_law", "K": 1.0, "gamma": 1.0},
+                  initial={"kind": "explicit", "x": [[0.0, 0.0], [1.0, 1.0]],
+                           "v": [[1e308, 0.0], [0.0, 1e308]]}),
+             3, "strategy failure: eta must be positive, not 0.0\n"),
+        ],
+        ids=["x-span-1d", "w-tilde-2d", "w-star-2d"],
+    )
+    def test_a_support_past_the_largest_double_prints_no_numpy_warning(
+        self, tmp_path, capsys, doc, code, err
+    ):
+        assert cli_main(["--config", self._write_config(tmp_path, doc)]) == code
+        assert capsys.readouterr() == ("", err)
+
+    def test_a_cloud_past_2_to_the_53_ends_with_an_unresolved_x_m(self, tmp_path):
+        # X0 + 1.0 == X0 there, so a bracket grown from it never grew: run in
+        # a subprocess, so that a hang fails here instead of stalling the suite
+        from flockctrl import runner
+
+        doc = dict(MINIMAL, kernel={"family": "power_law", "K": 1000.0, "gamma": 0.51},
+                   initial={"kind": "explicit", "x": [1.0, 1e150, 0.0, 1.0, 0.0],
+                            "v": [0.0, 0.5, 0.5, 0.5, 0.5]})
+        src = str(Path(runner.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "flockctrl.cli", "--config", self._write_config(tmp_path, doc)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verdict_before"]["X_M"] == "Infinity"
+
+    def test_exit_two_on_a_replayed_plan_that_ends_before_t_zero(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(_plan_doc(t_start=-2.0, t_end=-1.0, t_ref=-2.0)))
+        cfg = self._write_config(tmp_path, MINIMAL)
+        assert cli_main(["--config", cfg, "--replay", str(plan)]) == 2
+        assert capsys.readouterr().err == "config error: the plan ends at t = -1.0, before t = 0\n"
 
     @pytest.mark.parametrize("replay", [False, True], ids=["run", "replay"])
     def test_a_cli_run_builds_its_kernel_once(self, tmp_path, monkeypatch, replay):
