@@ -40,9 +40,9 @@ class AlreadyFlockedSignal(Exception):
 
 class DegenerateMeasureError(ValueError):
     """No synthesis applies: an atom is too heavy for the budget, so no positive
-    widening exists, or eta is not positive, as when the certified threshold of
-    a wide support underflows to 0, or a step's pieces would be too short for
-    a plan to tell apart, as when two atoms nearly coincide."""
+    widening exists, or no positive eta is certified, as when the threshold of a
+    wide support underflows to 0 or its extent overflows, or a step's pieces
+    would be too short for a plan to tell apart, as when two atoms nearly coincide."""
 
 
 class StrategyBudgetError(RuntimeError):
@@ -255,10 +255,18 @@ def build_control_piece(
     )
 
 
+def _check_extent(name: str, value: float) -> None:
+    """Refuse a certified threshold whose extent ``name`` is past the largest double."""
+    if not math.isfinite(value):
+        raise DegenerateMeasureError(
+            f"{name} = {value} is past the largest double: no eta is certified")
+
+
 def theorem4_threshold(kernel: Kernel, Y0: float, W0: float, c: float) -> float:
     """Velocity-extent threshold certifying the flocking region after the 1D loop."""
     n = math.ceil(2.0 / c)
-    return 0.5 * kernel.tail_integral(2.0 * (Y0 + n * W0 * W0))
+    _check_extent("theorem 4's 2(Y0 + n W0^2)", arg := 2.0 * (Y0 + n * W0 * W0))
+    return 0.5 * kernel.tail_integral(arg)
 
 
 def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float):
@@ -309,7 +317,10 @@ class MassBudget:
             n = math.ceil(2.0 / self.c)
             eta = theorem4_threshold(kernel, Y0, W0, self.c) if eta is None else eta
             return (0,), eta, W0 * n, Y0 + n * W0 * W0
-        eta5, w_star, _ = theorem5_threshold(kernel, box0.y, box0.w, self.c)
+        eta5, w_star, w_tilde = theorem5_threshold(kernel, box0.y, box0.w, self.c)
+        if eta is None:
+            _check_extent("theorem 5's W*", w_star)
+            _check_extent("theorem 5's W~", w_tilde)
         return tuple(range(e0.d)), eta5 if eta is None else eta, w_star, math.inf
 
 

@@ -30,6 +30,7 @@ from .control_mass import (
     StepRecord,
     StrategyBudgetError,
     _band_offsets,
+    _check_extent,
     _step_frame,
 )
 from .dynamics import ControlPiece, SpaceBand
@@ -73,7 +74,8 @@ def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> StepParams:
 
 def theorem6_threshold(kernel: Kernel, Y0: float, W0: float) -> float:
     """Velocity-extent threshold certifying the flocking region after the loop."""
-    return 0.5 * kernel.tail_integral(2.0 * (Y0 + W0 * W0))
+    _check_extent("theorem 6's 2(Y0 + W0^2)", arg := 2.0 * (Y0 + W0 * W0))
+    return 0.5 * kernel.tail_integral(arg)
 
 
 def min_space_steps(kernel: Kernel, W0: float, eta: float, c: float) -> float:

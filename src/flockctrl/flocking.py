@@ -12,15 +12,12 @@ Three certificates that an initial configuration flocks without control:
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .ensemble import Ensemble, _norm, flocking_metrics
 from .kernels import Kernel
-
-_BISECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,46 +31,18 @@ class FlockingVerdict:
         return asdict(self)
 
 
-def _solve_xm(kernel: Kernel, X0: float, V0: float) -> float:
-    """Smallest X_M >= X0 with int_{X0}^{X_M} phi(2x) dx = V0, by bisection.
-
-    +inf (not resolved) when X_M lies beyond X0 + 1e12, as it can for gamma
-    near 1/2, or when the tail from X0 diverges."""
-    if V0 <= 0.0:
-        return X0
-
-    base = kernel.tail_integral(X0)
-    if math.isinf(base):
-        return math.inf
-
-    def consumed(xm: float) -> float:
-        return base - kernel.tail_integral(xm)
-
-    # past 2^53, X0 + 1.0 is X0 itself, and the bracket would never grow
-    hi = X0 + max(1.0, math.ulp(X0))
-    while consumed(hi) <= V0:
-        hi = X0 + 2.0 * (hi - X0)
-        if hi > X0 + 1e12:
-            return math.inf
-    lo = X0
-    # from 2^19 on, adjacent doubles lie more than _BISECT_TOL apart
-    while hi - lo > _BISECT_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if consumed(mid) <= V0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def theorem3_test(kernel: Kernel, e: Ensemble) -> FlockingVerdict:
-    """Strict barycentric-radii certificate with asymptotic spatial bound."""
+    """Strict barycentric-radii certificate with asymptotic spatial bound.
+
+    X_M is max(X0, a) for the a whose tail is threshold - V0, in closed form by
+    the kernel's ``tail_inverse``: +inf (not resolved) for a nonintegrable tail."""
     m = flocking_metrics(e)
     threshold = kernel.tail_integral(m.X)
     margin = threshold - m.V
     in_region = m.V < threshold
     xm = None
     if in_region:
-        xm = m.X if math.isinf(threshold) and m.V == 0.0 else _solve_xm(kernel, m.X, m.V)
+        xm = m.X if m.V == 0.0 else max(m.X, kernel.tail_inverse(threshold - m.V))
     return FlockingVerdict(in_region=in_region, threshold=threshold, margin=margin, X_M=xm)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,14 +54,16 @@ class Kernel:
         """phi at sqrt(r2), the hot path of pairwise fields; may overwrite r2."""
         raise NotImplementedError
 
-    @property
-    def tail_diverges(self) -> bool:
-        """True when int_a^inf phi(2x) dx = +inf for every a."""
-        return False
-
     def tail_integral(self, a: float) -> float:
         """int_a^inf phi(2x) dx, or +inf for nonintegrable tails."""
         raise NotImplementedError
+
+    def tail_inverse(self, T: float) -> float:
+        """The a >= 0 with tail_integral(a) = T, for 0 < T <= tail_integral(0).
+
+        +inf where that a is not resolved, as for a nonintegrable tail (the
+        default), rather than a value below it."""
+        return math.inf
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -86,15 +89,11 @@ class PowerLawKernel(Kernel):
         np.divide(self.K, r2, out=r2)
         return r2
 
-    @property
-    def tail_diverges(self) -> bool:
-        # phi(2x) ~ x^(-2*gamma) at infinity: integrable iff gamma > 1/2.
-        return self.gamma <= 0.5
-
     def tail_integral(self, a: float) -> float:
         if a < 0:
             raise ValueError("lower limit must be nonnegative")
-        if self.tail_diverges:
+        # phi(2x) ~ x^(-2*gamma) at infinity: integrable iff gamma > 1/2
+        if self.gamma <= 0.5:
             return math.inf
         if self.gamma == 1.0:
             return 0.5 * self.K * (math.pi / 2.0 - math.atan(2.0 * a))
@@ -105,6 +104,26 @@ class PowerLawKernel(Kernel):
 
         p = self.gamma - 0.5
         return float(0.25 * self.K * beta(p, 0.5) * betainc(p, 0.5, 1.0 / (1.0 + 4.0 * a * a)))
+
+    def tail_inverse(self, T: float) -> float:
+        if self.gamma <= 0.5:
+            return math.inf
+        if self.gamma == 1.0:
+            # T = (K/2) atan(1/(2a)); a tangent that underflows to 0 is a root past the doubles
+            s = math.tan(2.0 * (T / self.K))
+            return max(0.0, 0.5 / s) if s else math.inf
+        # y = I_t(p, 1/2) with t = 1 / (1 + 4a^2); t and 1 - t come from their own
+        # inverses, so that neither cancels
+        from scipy.special import beta, betainccinv, betaincinv
+
+        p = self.gamma - 0.5
+        y = min(4.0 * (T / self.K) / beta(p, 0.5), 1.0)
+        t = float(betaincinv(p, 0.5, y))
+        # below the normal doubles scipy returns 0 or the smallest normal, which
+        # would understate a root past ~3.4e153
+        if not t > sys.float_info.min:
+            return math.inf
+        return 0.5 * math.sqrt(float(betainccinv(0.5, p, y)) / t)
 
     def to_dict(self) -> dict:
         return {"family": "power_law", "K": self.K, "gamma": self.gamma}
@@ -127,6 +146,16 @@ class ExponentialKernel(Kernel):
         if a < 0:
             raise ValueError("lower limit must be nonnegative")
         return self.K / (2.0 * self.lam) * math.exp(-2.0 * self.lam * a)
+
+    def tail_inverse(self, T: float) -> float:
+        if math.isinf(T):  # the tail of a K / (2 lam) past the largest double
+            return math.inf
+        # a = ln(K / (2 lam T)) / (2 lam), through log1p so that a small a keeps
+        # its digits; past the largest double (T subnormal), as a difference of logs
+        scale = self.K / (2.0 * self.lam)
+        r = (scale - T) / T
+        log_r = math.log1p(r) if r < math.inf else math.log(scale) - math.log(T)
+        return max(0.0, log_r / (2.0 * self.lam))
 
     def phi_sq_inplace(self, r2: np.ndarray) -> np.ndarray:
         np.sqrt(r2, out=r2)
@@ -175,10 +204,6 @@ class TabulatedKernel(Kernel):
     def phi_sq_inplace(self, r2: np.ndarray) -> np.ndarray:
         # interpolation in r: sqrt(r * r) is not r once r * r overflows
         return np.asarray(self.phi(np.sqrt(r2)))
-
-    @property
-    def tail_diverges(self) -> bool:
-        return True
 
     def tail_integral(self, a: float) -> float:
         if a < 0:

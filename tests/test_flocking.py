@@ -1,6 +1,7 @@
 """Sufficient flocking-region certificates."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,45 @@ from flockctrl import (
 )
 
 
+_GRID_KERNELS = [
+    ExponentialKernel(1.0, 1.0), ExponentialKernel(1000.0, 0.001), ExponentialKernel(0.1, 30.0),
+    *(PowerLawKernel(1.0, g) for g in (0.51, 0.75, 1.0, 1.5, 3.0, 7.3)),
+]
+
+
+def _exact_tail_inverse(mpmath, kernel, T):
+    """The a >= 0 with int_a^inf phi(2x) dx = T, at mpmath's working precision."""
+    T = mpmath.mpf(T)
+    zero = mpmath.mpf(0)
+    if isinstance(kernel, ExponentialKernel):
+        K, lam = mpmath.mpf(kernel.K), mpmath.mpf(kernel.lam)
+        return max(zero, mpmath.log(K / (2 * lam * T)) / (2 * lam))
+    K, g = mpmath.mpf(kernel.K), mpmath.mpf(kernel.gamma)
+    if g == 1:
+        return max(zero, 1 / (2 * mpmath.tan(2 * T / K)))
+    half = mpmath.mpf(1) / 2
+
+    def tail(a):
+        return K / 4 * mpmath.betainc(g - half, half, 0, 1 / (1 + 4 * a * a))
+
+    if T >= tail(zero):
+        return zero
+    # start below the root (phi <= K) or above it (the tail's power-law bound);
+    # then Newton on log tail(e^s) - log T, which is near linear in s
+    if T > tail(mpmath.mpf(1)):
+        a = (tail(zero) - T) / K
+    else:
+        a = (T * (2 * g - 1) * 4**g / K) ** (1 / (1 - 2 * g))
+    s = mpmath.log(a)
+    for _ in range(100):
+        a = mpmath.exp(s)
+        step = (mpmath.log(tail(a)) - mpmath.log(T)) * tail(a) / (-K * a / (1 + 4 * a * a) ** g)
+        s -= step
+        if abs(step) < mpmath.mpf(10) ** -40:
+            return mpmath.exp(s)
+    raise AssertionError("the reference root did not converge")
+
+
 class TestTheorem3:
     def test_zero_velocity_spread_always_in_region(self):
         e = uniform_box_ensemble(10, 0.0, 5.0, 0.2, 0.2, seed=0)
@@ -37,8 +77,8 @@ class TestTheorem3:
         assert v.X_M == pytest.approx(-0.5 * math.log(0.2), abs=1e-9)
 
     def test_xm_far_from_the_origin(self):
-        # spatial radius 1e6, where doubles are 1.2e-10 apart: coarser than
-        # the bisection tolerance
+        # spatial radius 1e6, where doubles are 1.2e-10 apart; at gamma = 1 the
+        # tail there cancels to ~1e-10 relative, which bounds the residual
         e = Ensemble.from_points([-1e6, 1e6], [-1e-8, 1e-8])
         k = PowerLawKernel(1.0, 1.0)
         v = theorem3_test(k, e)
@@ -47,12 +87,47 @@ class TestTheorem3:
         consumed = k.tail_integral(1e6) - k.tail_integral(v.X_M)
         assert consumed == pytest.approx(1e-8, rel=1e-6, abs=0)
 
-    def test_xm_beyond_the_bracket_is_infinite(self):
-        # gamma near 1/2: V0 = 22 < tail(0.5) = 24.9, yet tail(1e12) = 14.2
+    def test_xm_for_gamma_near_one_half_is_far_but_finite(self):
+        # gamma near 1/2: V0 = 22 < tail(0.5) = 24.9, yet tail(1e12) = 14.2, so
+        # the tail spends V0 only near 2.7e46
         e = Ensemble.from_points([0.0, 1.0], [0.0, 44.0])
-        v = theorem3_test(PowerLawKernel(1.0, 0.51), e)
+        k = PowerLawKernel(1.0, 0.51)
+        v = theorem3_test(k, e)
         assert v.in_region
-        assert v.X_M == math.inf
+        assert v.X_M == pytest.approx(2.733877423136e46, rel=1e-12)
+        consumed = k.tail_integral(0.5) - k.tail_integral(v.X_M)
+        assert consumed == pytest.approx(22.0, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kernel", _GRID_KERNELS, ids=repr)
+    def test_xm_is_the_exact_inverse_of_the_computed_tail(self, kernel):
+        # two-point clouds with X = X0 and V = frac * tail(X0): X_M is
+        # max(X0, a) for the a whose tail is the computed T = threshold - V,
+        # here to 80 digits.  Within 1e-12 max(1, X_M) of it, never below it,
+        # and +inf only where the exact root is past the doubles, or for
+        # gamma != 1 where t = 1 / (1 + 4 a^2) is not a normal double.
+        mpmath = pytest.importorskip("mpmath")
+        checked = 0
+        for X0 in (0.0, 1e-3, 0.5, 1.0, 10.0, 1e3, 1e6, 1e12, 1e50, 1e100, 1e150,
+                   1e153, 1e154, 1e200):
+            for frac in (1e-300, 1e-100, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12):
+                V0 = frac * kernel.tail_integral(X0)
+                e = Ensemble.from_points([-X0, X0], [-V0, V0])
+                v = theorem3_test(kernel, e)
+                if not v.in_region or flocking_metrics(e).V == 0.0:
+                    continue
+                checked += 1
+                with mpmath.workdps(80):
+                    exact = max(mpmath.mpf(X0), _exact_tail_inverse(mpmath, kernel, v.margin))
+                    if math.isinf(v.X_M):
+                        t = 1 / (1 + 4 * exact**2)
+                        assert exact > sys.float_info.max or (
+                            isinstance(kernel, PowerLawKernel) and kernel.gamma != 1.0
+                            and t <= sys.float_info.min * (1 + 1e-10)
+                        ), (X0, frac)
+                    else:
+                        err = float((v.X_M - exact) / max(1.0, v.X_M))
+                        assert abs(err) <= 1e-12, (X0, frac, v.X_M, float(exact))
+        assert checked >= 30
 
     @pytest.mark.parametrize(
         "kernel, root",

@@ -116,13 +116,12 @@ class TestTailIntegral:
         assert ExponentialKernel(1.0, 1.0).tail_integral(0.0) == pytest.approx(0.5)
 
     def test_divergent_power_law(self):
-        assert PowerLawKernel(1.0, 0.5).tail_integral(1.0) == math.inf
-        assert PowerLawKernel(1.0, 0.5).tail_diverges
+        k = PowerLawKernel(1.0, 0.5)
+        assert k.tail_integral(1.0) == k.tail_inverse(1.0) == math.inf
 
     def test_tabulated_tail_diverges(self):
         k = TabulatedKernel((0.0, 1.0), (1.0, 0.5))
-        assert k.tail_diverges
-        assert k.tail_integral(3.0) == math.inf
+        assert k.tail_integral(3.0) == k.tail_inverse(3.0) == math.inf
 
     @pytest.mark.parametrize("gamma", [0.8, 1.0, 1.5, 2.3])
     def test_quadrature_consistency(self, gamma):
@@ -156,8 +155,13 @@ class TestTailIntegral:
         assert PowerLawKernel(1.3, 1.5).tail_integral(a) == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_import_loads_no_scipy(self):
+        # nor does an in-region X_M on the benchmark's kernels: scipy.special
+        # would add most of a second to a run's setup
         code = (
-            "import sys, flockctrl\n"
+            "import sys, flockctrl as f\n"
+            "e = f.Ensemble.from_points([0.0, 1.0], [0.0, 0.1])\n"
+            "for k in (f.ExponentialKernel(1.0, 1.0), f.PowerLawKernel(1.0, 1.0)):\n"
+            "    assert 0.5 < f.theorem3_test(k, e).X_M < float('inf')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = str(Path(kernels.__file__).resolve().parent.parent)
@@ -166,6 +170,25 @@ class TestTailIntegral:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("kernel", [
+        ExponentialKernel(2.0, 0.7), PowerLawKernel(1.3, 1.0), PowerLawKernel(1.3, 0.6),
+        PowerLawKernel(1.3, 2.3),
+    ], ids=repr)
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.0, 300.0])
+    def test_tail_inverse_undoes_the_tail(self, kernel, a):
+        assert kernel.tail_inverse(kernel.tail_integral(a)) == pytest.approx(a, rel=1e-9, abs=1e-15)
+
+    def test_tail_inverse_at_the_ends_of_the_doubles(self):
+        # ln(K / (2 lam T)) / (2 lam) would overflow the quotient
+        assert ExponentialKernel(2.0, 0.7).tail_inverse(5e-324) == pytest.approx(
+            (math.log(2.0 / 1.4) + 744.4400719213812) / 1.4, rel=1e-15
+        )
+        # K / (2 lam) past the largest double: an infinite tail, as in theorem 3's T
+        assert ExponentialKernel(1e308, 0.1).tail_inverse(math.inf) == math.inf
+        # a root past the doubles, and a t below the normal doubles, are not resolved
+        assert PowerLawKernel(1.0, 1.0).tail_inverse(5e-324) == math.inf
+        assert PowerLawKernel(1.0, 0.51).tail_inverse(1e-3) == math.inf
 
     def test_nonincreasing_in_lower_limit(self):
         k = ExponentialKernel(2.0, 0.7)

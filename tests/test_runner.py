@@ -32,6 +32,9 @@ from flockctrl.cli import main as cli_main
 from flockctrl.dynamics import ControlPiece
 from flockctrl.runner import _write_json, dump_json
 
+# the end of the message that refuses a certified threshold past the largest double
+_NO_ETA = "is past the largest double: no eta is certified"
+
 MINIMAL = {
     "schema_version": 1,
     "dimension": 1,
@@ -499,9 +502,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "kernel, initial, infinite",
         [
-            # gamma near 1/2: the certificate's asymptotic spatial bound X_M is infinite
+            # gamma near 1/2: the certificate's asymptotic spatial bound X_M lies
+            # near 1e200, past the ~3.4e153 that the tail's inverse resolves
             ({"family": "power_law", "K": 1.0, "gamma": 0.51},
-             {"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 44.0]}, ["X_M"]),
+             {"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 49.8]}, ["X_M"]),
             # a tabulated ("custom") kernel has an infinite tail integral, threshold and margin
             ({"family": "custom", "radii": [0.0, 10.0], "values": [1.0, 0.5]},
              MINIMAL["initial"], ["threshold", "margin"]),
@@ -562,14 +566,28 @@ class TestCli:
                   kernel={"family": "exponential", "K": 1000.0, "lam": 0.001},
                   initial={"kind": "explicit", "x": [[0.0, 10.0], [1.0, 1.0]],
                            "v": [[0.5, 0.5], [0.5, 1e308]]}),
-             3, "strategy failure: eta must be positive, not nan\n"),
+             3, f"strategy failure: theorem 5's W* = inf {_NO_ETA}\n"),
             (dict(MINIMAL, dimension=2, mode="mass", c=0.5,
                   kernel={"family": "power_law", "K": 1.0, "gamma": 1.0},
                   initial={"kind": "explicit", "x": [[0.0, 0.0], [1.0, 1.0]],
                            "v": [[1e308, 0.0], [0.0, 1e308]]}),
-             3, "strategy failure: eta must be positive, not 0.0\n"),
+             3, f"strategy failure: theorem 5's W* = inf {_NO_ETA}\n"),
+            # W* = 2e155 is a double, W~ = |Y0 + W* W0| is not
+            (dict(MINIMAL, dimension=2, mode="mass", c=1,
+                  kernel={"family": "power_law", "K": 1.0, "gamma": 1.0},
+                  initial={"kind": "explicit", "x": [[0.0, 0.0], [1.0, 1.0]],
+                           "v": [[0.0, 0.0], [1e155, 0.0]]}),
+             3, f"strategy failure: theorem 5's W~ = inf {_NO_ETA}\n"),
+            (dict(MINIMAL, mode="mass", c=1,
+                  kernel={"family": "power_law", "K": 1.0, "gamma": 1.0},
+                  initial={"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 1e200]}),
+             3, f"strategy failure: theorem 4's 2(Y0 + n W0^2) = inf {_NO_ETA}\n"),
+            (dict(MINIMAL, mode="volume", c=1,
+                  kernel={"family": "power_law", "K": 1.0, "gamma": 1.0},
+                  initial={"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 1e200]}),
+             3, f"strategy failure: theorem 6's 2(Y0 + W0^2) = inf {_NO_ETA}\n"),
         ],
-        ids=["x-span-1d", "w-tilde-2d", "w-star-2d"],
+        ids=["x-span-1d", "w-tilde-2d", "w-star-2d", "w-tilde-alone-2d", "mass-1d", "volume-1d"],
     )
     def test_a_support_past_the_largest_double_prints_no_numpy_warning(
         self, tmp_path, capsys, doc, code, err
@@ -577,9 +595,10 @@ class TestCli:
         assert cli_main(["--config", self._write_config(tmp_path, doc)]) == code
         assert capsys.readouterr() == ("", err)
 
-    def test_a_cloud_past_2_to_the_53_ends_with_an_unresolved_x_m(self, tmp_path):
-        # X0 + 1.0 == X0 there, so a bracket grown from it never grew: run in
-        # a subprocess, so that a hang fails here instead of stalling the suite
+    def test_a_cloud_past_2_to_the_53_ends_with_a_finite_x_m(self, tmp_path):
+        # X0 + 1.0 == X0 there, where a root search that steps from X0 by 1 never
+        # moves: run in a subprocess, so that a hang fails here instead of
+        # stalling the suite
         from flockctrl import runner
 
         doc = dict(MINIMAL, kernel={"family": "power_law", "K": 1000.0, "gamma": 0.51},
@@ -592,7 +611,9 @@ class TestCli:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout)["verdict_before"]["X_M"] == "Infinity"
+        # X0 = 8e149, V0 = 0.4
+        assert json.loads(done.stdout)["verdict_before"]["X_M"] == pytest.approx(
+            1.8058014363772e150, rel=1e-12)
 
     def test_exit_two_on_a_replayed_plan_that_ends_before_t_zero(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
