@@ -2,8 +2,9 @@
 
 Here the sparsity constraint bounds the *area* of the actuated region in
 position-velocity space instead of the mass it carries: a single thin band
-hugging the top edge of the velocity support, of Lebesgue area at most
-c = 1, pushes the fastest agents down.  Each step lasts exactly the band
+of Lebesgue area at most c = 1, along the edge of the velocity support
+farther from the barycenter, pushes the agents there toward it (the
+fastest down, or the slowest up).  Each step lasts exactly the band
 half-width and shrinks the velocity extent by at least that much, so the
 whole strategy uses control time at most W0.
 """
@@ -29,7 +30,8 @@ result = complete_strategy(kernel, cloud, VolumeBudget(c))
 box0 = support_box(cloud)
 box1 = support_box(result.final)
 
-print(f"band steps              {len(result.records)}")
+bottom = sum(p.sign < 0.0 for p in result.plan.pieces)
+print(f"band steps              {len(result.records)} ({bottom} on the bottom edge)")
 print(f"total control time      {result.total_control_time:.3f} "
       f"(guaranteed <= W0 = {float(box0.w[0]):.3f})")
 print(f"velocity extent         {float(box0.w[0]):.4f} -> {float(box1.w[0]):.6f} "

@@ -1,12 +1,15 @@
 """Volume-budget sparse control synthesis (one-dimensional).
 
 Instead of bounding the measure carried by the control set, this variant
-bounds its Lebesgue area: one rectangular band hugging the top edge of the
-velocity support, area at most c, with a unit force pushing band velocities
-down.  Each step lasts exactly its widening parameter eps (the same number
-measures a distance and a time here) and shrinks the velocity extent by at
-least eps.  ``VolumeBudget`` runs these steps through the shared step and
-loop of ``control_mass`` until the extent reaches the flocking threshold
+bounds its Lebesgue area: one rectangular band along the edge of the
+velocity support farther from the barycenter, area at most c, with a unit
+force pushing band velocities toward the barycenter.  The paper's band sits
+on the top edge; a bottom-edge band is that band on the cloud reflected by
+(x, v) -> (-x, -v), which the flow maps to itself since phi depends only on
+|x - y|.  Each step lasts exactly its widening parameter eps (the same
+number measures a distance and a time here) and shrinks the velocity extent
+by at least eps.  ``VolumeBudget`` runs these steps through the shared step
+and loop of ``control_mass`` until the extent reaches the flocking threshold
 eta, using total control time at most W0 and spreading the spatial support
 by at most W0^2.  The band's geometry, force and area are
 ``dynamics.SpaceBand``.
@@ -41,6 +44,8 @@ from .kernels import Kernel
 def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> StepParams:
     """Band geometry for a normalized 1D ensemble under area budget c: one
     column, [0, Y0], swept for T0 = eps0, with the distance bound Y0 + W0.
+    The band's velocity spread is the barycenter's distance to the farther
+    edge, max(W0 - vbar0, vbar0), as for the mass band.
 
     eps0 is beta0/2 when that band's area is at most c, and otherwise the
     largest double whose band area 4(W0+2) eps^2 + 4 Y0 eps is at most c:
@@ -52,7 +57,7 @@ def space_step_params(kernel: Kernel, e: Ensemble, c: float) -> StepParams:
     if e.d != 1:
         raise ValueError("volume-budget synthesis is one-dimensional")
     Y0, W0, diam, vbar0 = _step_frame(e, 0, c, "VolumeBudget")
-    alpha0, beta0 = _band_offsets(kernel, diam, W0 - vbar0)
+    alpha0, beta0 = _band_offsets(kernel, diam, max(W0 - vbar0, vbar0))
 
     def band_area(eps):
         return SpaceBand.area({"eps": eps, "y0": Y0, "w0": W0})
@@ -82,9 +87,9 @@ def min_space_steps(kernel: Kernel, W0: float, eta: float, c: float) -> float:
     """A lower bound on the volume-budget steps that take the velocity extent W0 to eta.
 
     Along the flow dW/dt >= -(2 phi0 W + 1): the field moves a velocity by at
-    most phi0 W, and the band force lies in [-1, 0].  So W reaches eta no
-    sooner than t = ln((2 phi0 W0 + 1) / (2 phi0 eta + 1)) / (2 phi0), and a
-    step lasts eps0 <= sqrt(c/(W0+2))/2 <= sqrt(2c)/4: the band area
+    most phi0 W, and the band force, on either edge, by at most 1.  So W
+    reaches eta no sooner than t = ln((2 phi0 W0 + 1) / (2 phi0 eta + 1)) /
+    (2 phi0), and a step lasts eps0 <= sqrt(c/(W0+2))/2 <= sqrt(2c)/4: the band area
     4(W0+2) eps0^2 + 4 Y0 eps0 is at most c, and W0 >= 0.
     """
     if W0 <= eta:
@@ -97,9 +102,12 @@ def min_space_steps(kernel: Kernel, W0: float, eta: float, c: float) -> float:
 @dataclass(frozen=True)
 class VolumeBudget:
     """At most area c in the control set at every instant, in one dimension:
-    steps of one band piece of four RK4 steps, ended at theorem 6's eta.  A
-    budget c so small that even half of ``min_space_steps`` exceeds the step
-    budget is rejected before the first step."""
+    steps of one band piece of four RK4 steps, ended at theorem 6's eta.  The
+    band of each step sits on the velocity edge farther from the barycenter:
+    a bottom-edge piece has sign -1, and its frame is the lower corner of the
+    reflected cloud.  A budget c so small that even half of
+    ``min_space_steps`` exceeds the step budget is rejected before the first
+    step."""
 
     c: float
     rk4_per_piece: ClassVar[int] = 4
@@ -112,10 +120,15 @@ class VolumeBudget:
         return space_step_params(kernel, e, self.c)
 
     def pieces(self, params: StepParams, t_start: float, box: SupportBox, dt: float):
+        x_shift, v_shift, sign = float(box.x_shift[0]), float(box.v_shift[0]), 1.0
+        # the bottom edge when the barycenter is farther from it; a tie keeps
+        # the top edge.  The shifts are then the reflected cloud's lower corner.
+        if params.vbar0 > params.W0 - params.vbar0:
+            x_shift, v_shift, sign = -(x_shift + params.Y0), -(v_shift + params.W0), -1.0
         return [ControlPiece(
             t_start, t_start + params.T0, "space_band", axis=0, t_ref=t_start,
-            x_shift=float(box.x_shift[0]), v_shift=float(box.v_shift[0]),
-            params={"eps": params.eps0, "y0": params.Y0, "w0": params.W0}, dt=dt,
+            x_shift=x_shift, v_shift=v_shift,
+            params={"eps": params.eps0, "y0": params.Y0, "w0": params.W0}, dt=dt, sign=sign,
         )]
 
     def audit(self, rec: StepRecord, e: Ensemble) -> None:

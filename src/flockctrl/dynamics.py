@@ -112,6 +112,9 @@ class ControlPiece:
     Geometry parameters are stored in the normalized frame of the step that
     built the piece: subtract (x_shift + (t - t_ref) * v_shift) from the
     spatial coordinate and v_shift from the velocity coordinate of ``axis``.
+    With ``sign`` -1 the frame and the force are those of the cloud reflected
+    by (x, v) -> (-x, -v), which the flow maps to itself: the coordinates are
+    negated before the shifts are subtracted, and the force is negated.
     """
 
     t_start: float
@@ -123,24 +126,30 @@ class ControlPiece:
     v_shift: float
     params: dict = field(default_factory=dict)
     dt: float | None = None  # step size the piece was synthesized with
+    sign: float = 1.0
 
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise ValueError("piece must have positive duration")
+        if self.sign not in (1.0, -1.0):
+            raise ValueError(f"piece sign must be 1 or -1, not {self.sign!r}")
         if self.kind not in BANDS:
             raise ValueError(f"unknown control piece kind: {self.kind!r}")
         # resolved once here, so the per-call methods pay no lookup by kind
         object.__setattr__(self, "_band", BANDS[self.kind])
 
     def _frame_coords(self, x: np.ndarray, v: np.ndarray, t: float):
-        xs = x[:, self.axis] - self.x_shift - (t - self.t_ref) * self.v_shift
-        vs = v[:, self.axis] - self.v_shift
+        x, v = x[:, self.axis], v[:, self.axis]
+        if self.sign < 0.0:
+            x, v = -x, -v
+        xs = x - self.x_shift - (t - self.t_ref) * self.v_shift
+        vs = v - self.v_shift
         return xs, vs
 
     def force_axis(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         """Force on the controlled velocity component, per particle."""
-        xs, vs = self._frame_coords(x, v, t)
-        return self._band.force(self.params, xs, vs)
+        u = self._band.force(self.params, *self._frame_coords(x, v, t))
+        return np.negative(u, out=u) if self.sign < 0.0 else u
 
     def force(self, x: np.ndarray, v: np.ndarray, t: float, add_to=None) -> np.ndarray:
         """Force on every velocity component, per particle.
@@ -166,6 +175,8 @@ class ControlPiece:
         # not dataclasses.asdict, whose deep copies take 35 us a piece, not 5
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["params"] = dict(self.params)
+        if self.sign > 0.0:  # written only where it is -1; a missing sign reads as 1
+            del doc["sign"]
         return doc
 
     @classmethod
@@ -180,6 +191,7 @@ class ControlPiece:
             v_shift=float(d["v_shift"]),
             params={k: float(val) for k, val in d["params"].items()},
             dt=None if d.get("dt") is None else float(d["dt"]),
+            sign=float(d.get("sign", 1.0)),
         )
 
 

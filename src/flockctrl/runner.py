@@ -533,6 +533,8 @@ def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
     longer than the plan's join tolerance, an integer axis below
     ``dimension``, a known kind, and exactly that kind's parameters as finite
     numbers, positive where the kind says so; ``dt`` may be null or positive.
+    A ``space_band`` piece may carry ``sign`` 1 or -1 (missing means 1, as in
+    plans written before mirrored pieces); no other kind carries one.
     """
     if not isinstance(plan_doc, dict):
         raise ConfigError(["plan document must be an object"])
@@ -557,6 +559,9 @@ def _parse_plan(plan_doc, dimension: int) -> ControlPlan:
             problem = f"axis must be an integer in [0, {dimension})"
         elif not (isinstance(p["kind"], str) and p["kind"] in BANDS):
             problem = f"kind must be one of {sorted(BANDS)}"
+        elif "sign" in p and not (p["kind"] == "space_band" and _is_number(p["sign"])
+                                  and p["sign"] in (1, -1)):
+            problem = "sign must be 1 or -1, and only a space_band piece carries one"
         elif not (
             isinstance(p["params"], dict)
             and set(p["params"]) == set(BANDS[p["kind"]].params)

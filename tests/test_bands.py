@@ -5,10 +5,13 @@ as the closed box its membership tested.  Both now read one geometry, the
 signed distances into the band.  The earlier expressions are kept here as
 references: on random bands at scales from 1e-12 to 1e12, and at points on
 and one ulp beside every edge, the force must match bit for bit and the
-membership must be equal.
+membership must be equal.  A mirrored piece (sign -1) is the space band of
+the reflected cloud: its force is the negated reference force at the
+reflected, shifted coordinates, and its membership is the reference's there.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +101,51 @@ def test_force_and_membership_match_the_earlier_expressions(band):
     assert piece.force_axis(x, v, 0.0).tobytes() == force.tobytes()
     assert np.array_equal(piece.in_omega(x, v, 0.0), member)
     assert member.any() and not member.all()
+
+
+def _reflected_space_band(p, x, v, t, x_shift, v_shift):
+    """The reference space band on the cloud reflected by (x, v) -> (-x, -v),
+    whose frame is shifted by x_shift + t v_shift and v_shift."""
+    force, member = _References.space_band(p, -x - x_shift - t * v_shift, -v - v_shift)
+    return -force, member
+
+
+@given(band=_bands().filter(lambda b: b[0] == "space_band"),
+       frame=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 1.0)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_mirrored_space_band_is_the_reference_band_of_the_reflected_cloud(band, frame):
+    _, p, scale, seed = band
+    x_shift, v_shift, t = frame[0] * scale, frame[1] * scale, frame[2]
+    xe, ve = _edges("space_band", p)
+    lo, hi = min(xe + ve) - scale, max(xe + ve) + scale
+    spread = np.random.default_rng(seed).uniform(lo, hi, 16)
+    # the reflected frame's edges, and one ulp beside them, mapped back to (x, v)
+    xs = -(np.concatenate([_near(xe), spread]) + x_shift + t * v_shift)
+    vs = -(np.concatenate([_near(ve), spread]) + v_shift)
+    x, v = (a.reshape(-1, 1) for a in np.meshgrid(xs, vs))
+    piece = ControlPiece(0.0, 1.0, "space_band", axis=0, t_ref=0.0, x_shift=x_shift,
+                         v_shift=v_shift, params=p, sign=-1.0)
+    force, member = _reflected_space_band(p, x[:, 0], v[:, 0], t, x_shift, v_shift)
+    assert piece.force_axis(x, v, t).tobytes() == force.tobytes()
+    assert np.array_equal(piece.in_omega(x, v, t), member)
+    assert member.any() and not member.all()
+    # a bottom-edge band pushes velocities up, never down
+    assert force.max() > 0.0 and force.min() >= 0.0
+
+
+def test_a_piece_sign_other_than_one_or_minus_one_is_refused():
+    p = {"eps": 0.1, "y0": 1.0, "w0": 1.0}
+    for sign in (0.0, 0.5, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="sign must be 1 or -1"):
+            ControlPiece(0.0, 1.0, "space_band", axis=0, t_ref=0.0, x_shift=0.0, v_shift=0.0,
+                         params=p, sign=sign)
+
+
+def test_only_a_mirrored_piece_writes_its_sign():
+    p = {"eps": 0.1, "y0": 1.0, "w0": 1.0}
+    top, bottom = (ControlPiece(0.0, 1.0, "space_band", axis=0, t_ref=0.0, x_shift=0.0,
+                                v_shift=0.0, params=p, sign=sign) for sign in (1.0, -1.0))
+    assert "sign" not in top.to_dict()
+    assert bottom.to_dict()["sign"] == -1.0
+    assert ControlPiece.from_dict(top.to_dict()) == top
+    assert ControlPiece.from_dict(bottom.to_dict()) == bottom

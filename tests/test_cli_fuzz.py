@@ -139,11 +139,16 @@ def _plan(draw):
             {"x_lo": 0.0, "x_hi": 0.3, "vbar": 0.15, "alpha": 0.01, "beta": 0.02, "eps": 0.01}
             if kind == "mass_band" else {"eps": 0.05, "y0": 1.0, "w0": 0.5}
         )
-        pieces.append({
+        piece = {
             "t_start": t, "t_end": t + dur, "kind": kind, "axis": draw(st.integers(0, d - 1)),
             "t_ref": t, "x_shift": 0.0, "v_shift": 0.0, "params": params,
             "dt": draw(st.sampled_from([None, 0.01, 0.05])),
-        })
+        }
+        # a space band on either velocity edge: no sign, 1 or -1
+        sign = draw(st.sampled_from([None, 1.0, -1.0])) if kind == "space_band" else None
+        if sign is not None:
+            piece["sign"] = sign
+        pieces.append(piece)
         t += dur
     return {"schema_version": 1, "dimension": d, "plan": {"pieces": pieces}}
 
@@ -253,6 +258,9 @@ def _run(scenario, replay):
         dict(_PIECE_DOC, kind="space_band", axis=1, params={"eps": 0.1, "y0": 1.0, "w0": 0.5}),
     ]}}),
 )
+# a sign on a mass band
+@example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
+    "pieces": [dict(_PIECE_DOC, sign=-1.0)]}}))
 # a replayed plan that ends before t = 0, once flown over a negative horizon
 @example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
     "pieces": [dict(_PIECE_DOC, t_start=-2.0, t_end=-1.0, t_ref=-2.0)]}}))

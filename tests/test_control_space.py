@@ -46,11 +46,13 @@ def _band_force(params, x, v):
 
 class TestSpaceStepParams:
     def test_constant_kernel_band_offsets(self):
-        # phi0 = phid = 1: alpha = (W - vbar)/2, beta = (W - vbar)/6
+        # phi0 = phid = 1: alpha = spread/2, beta = spread/6, where the spread
+        # is the barycenter's distance to the farther velocity edge
         e = _normalized_uniform(seed=1)
         p = space_step_params(CONSTANT_KERNEL, e, 1.0)
-        assert p.alpha0 == pytest.approx((p.W0 - p.vbar0) / 2.0)
-        assert p.beta0 == pytest.approx((p.W0 - p.vbar0) / 6.0)
+        spread = max(p.W0 - p.vbar0, p.vbar0)
+        assert p.alpha0 == pytest.approx(spread / 2.0)
+        assert p.beta0 == pytest.approx(spread / 6.0)
 
     def test_eps_closed_form_when_beta_binds(self):
         # large budget: eps = beta/2 and the band area is well under c
@@ -82,8 +84,8 @@ class TestSpaceStepParams:
         assert isinstance(p, StepParams)
         assert (p.axis, p.n, p.T0) == (0, 1, p.eps0)
         # with the mass step's distance bound, Y0 + W0 in one dimension
-        assert _band_offsets(PowerLawKernel(1.0, 1.0), p.Y0 + p.W0, p.W0 - p.vbar0) == \
-            (p.alpha0, p.beta0)
+        assert _band_offsets(PowerLawKernel(1.0, 1.0), p.Y0 + p.W0,
+                             max(p.W0 - p.vbar0, p.vbar0)) == (p.alpha0, p.beta0)
         assert p.cuts.tolist() == [0.0, p.Y0]
         assert p.W0 - p.T0 / p.n == p.W0 - p.eps0
 
@@ -141,6 +143,47 @@ class TestFundamentalStepSpace:
         assert rec.Y_after[0] <= p.Y0 + p.eps0 * p.W0 + 1e-6
         assert frag.total_control_time() == pytest.approx(p.T0)
         assert support_box(e1).w[0] == pytest.approx(rec.W_after[0])
+
+
+class TestStepEdge:
+    """A step's band sits on the velocity edge farther from the barycenter."""
+
+    X = [0.0, 0.1, 0.2, 0.3, 0.4]
+
+    def _step(self, v, w=None):
+        e = Ensemble.from_points(self.X[: len(v)], v, w)
+        e1, rec, frag, _ = fundamental_step(PowerLawKernel(1.0, 1.0), e, VolumeBudget(1.0))
+        (piece,) = frag.pieces
+        return e, e1, rec.params, piece
+
+    def test_a_barycenter_near_the_top_takes_a_bottom_edge_step(self):
+        e, e1, p, piece = self._step([0.0, 0.9, 0.95, 1.0, 1.0])
+        assert p.vbar0 > p.W0 - p.vbar0
+        assert piece.sign == -1.0
+        # the reflected cloud's lower corner
+        box = support_box(e)
+        assert piece.x_shift == -(float(box.x_shift[0]) + p.Y0)
+        assert piece.v_shift == -(float(box.v_shift[0]) + p.W0)
+        assert (p.alpha0, p.beta0) == _band_offsets(PowerLawKernel(1.0, 1.0), p.Y0 + p.W0, p.vbar0)
+        after = support_box(e1)
+        assert after.w[0] <= p.W0 - p.eps0
+        # the bottom edge rose and the top edge stayed put
+        assert after.v_shift[0] > box.v_shift[0]
+        assert after.v_shift[0] + after.w[0] <= box.v_shift[0] + p.W0
+
+    def test_a_barycenter_near_the_bottom_keeps_a_top_edge_step(self):
+        e, e1, p, piece = self._step([0.0, 0.0, 0.05, 0.1, 1.0])
+        assert p.vbar0 < p.W0 - p.vbar0
+        assert piece.sign == 1.0
+        box = support_box(e)
+        assert (piece.x_shift, piece.v_shift) == (float(box.x_shift[0]), float(box.v_shift[0]))
+        assert support_box(e1).w[0] <= p.W0 - p.eps0
+
+    def test_a_tie_keeps_the_top_edge(self):
+        e, e1, p, piece = self._step([0.0, 0.25, 0.75, 1.0])
+        assert p.vbar0 == p.W0 - p.vbar0 == 0.5
+        assert piece.sign == 1.0
+        assert support_box(e1).w[0] <= p.W0 - p.eps0
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Scenario validation, orchestration, artifacts, replay, and CLI exit codes."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -30,7 +31,7 @@ from flockctrl import (
 )
 from flockctrl.cli import main as cli_main
 from flockctrl.dynamics import ControlPiece
-from flockctrl.runner import _write_json, dump_json
+from flockctrl.runner import _parse_plan, _write_json, dump_json
 
 # the end of the message that refuses a certified threshold past the largest double
 _NO_ETA = "is past the largest double: no eta is certified"
@@ -76,6 +77,25 @@ VOLUME_SMALL = dict(
     c=1.0,
     initial=dict(MASS_SMALL["initial"], particles=40),
 )
+
+# a volume cloud whose barycenter sits near the top edge, so that its steps
+# act on the bottom edge
+VOLUME_HIGH = {
+    "schema_version": 1,
+    "dimension": 1,
+    "mode": "volume",
+    "c": 1.0,
+    "kernel": {"family": "power_law", "K": 1.0, "gamma": 1.0},
+    "initial": {"kind": "explicit", "x": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25],
+                "v": [0.0, 0.2, 0.24, 0.26, 0.28, 0.3]},
+    "eta": 0.25,
+    "post_horizon": 0.5,
+}
+# the plan.json of VOLUME_HIGH written when every volume step acted on the top
+# edge (8 pieces, none with a sign), and the sha256 of the trajectory.csv its
+# replay wrote then
+PLAN_BEFORE_SIGN = Path(__file__).parent / "data" / "volume_plan_before_sign.json"
+PLAN_BEFORE_SIGN_REPLAY_SHA256 = "c3d70ba82609b204474fc2c183eebb5c894a4ba888ba9113333bf3e685cd17af"
 
 MASS_2D_SMALL = dict(
     MASS_SMALL,
@@ -1015,6 +1035,48 @@ class TestCli:
         assert summary["mode"] == "none"
         rows = (out_dir / "trajectory.csv").read_text().strip().splitlines()
         assert len(rows) > 1
+
+    def test_a_replay_of_mirrored_pieces_reproduces_the_run(self, tmp_path):
+        cfg = self._write_config(tmp_path, dict(VOLUME_HIGH, out=str(tmp_path / "run")))
+        assert cli_main(["--config", cfg]) == 0
+        plan = tmp_path / "run" / "plan.json"
+        pieces = json.loads(plan.read_text())["plan"]["pieces"]
+        assert pieces and all(p["sign"] == -1.0 for p in pieces)
+        replayed = tmp_path / "replayed"
+        assert cli_main(["--config", cfg, "--replay", str(plan), "--out", str(replayed)]) == 0
+        run_csv = (tmp_path / "run" / "trajectory.csv").read_bytes()
+        assert (replayed / "trajectory.csv").read_bytes() == run_csv
+
+    def test_a_plan_written_before_pieces_carried_a_sign_replays_as_it_did(self, tmp_path):
+        pieces = json.loads(PLAN_BEFORE_SIGN.read_text())["plan"]["pieces"]
+        assert len(pieces) == 8 and not any("sign" in p for p in pieces)
+        cfg = self._write_config(tmp_path, VOLUME_HIGH)
+        replayed = tmp_path / "replayed"
+        argv = ["--config", cfg, "--replay", str(PLAN_BEFORE_SIGN), "--out", str(replayed)]
+        assert cli_main(argv) == 0
+        csv = (replayed / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == PLAN_BEFORE_SIGN_REPLAY_SHA256
+
+    @pytest.mark.parametrize(
+        "kind, sign",
+        [("mass_band", 1.0), ("mass_band", -1.0), ("space_band", 0.5), ("space_band", 0),
+         ("space_band", -2), ("space_band", True), ("space_band", "-1"), ("space_band", None),
+         ("space_band", float("nan"))],
+    )
+    def test_exit_two_on_a_sign_off_a_space_band_or_not_one(self, tmp_path, capsys, kind, sign):
+        params = GOOD_PIECE["params"] if kind == "mass_band" else {"eps": 0.1, "y0": 1.0, "w0": 1.0}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(_plan_doc(kind=kind, params=params, sign=sign)))
+        cfg = self._write_config(tmp_path, MASS_SMALL)
+        assert cli_main(["--config", cfg, "--replay", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert "plan piece 0: sign must be 1 or -1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sign", [1, -1, 1.0, -1.0])
+    def test_a_space_band_sign_of_one_or_minus_one_is_read(self, sign):
+        doc = _plan_doc(kind="space_band", params={"eps": 0.1, "y0": 1.0, "w0": 1.0}, sign=sign)
+        (piece,) = _parse_plan(doc, 1).pieces
+        assert piece.sign == float(sign)
 
     def test_replay_writes_trajectory(self, tmp_path):
         cfg = self._write_config(tmp_path, dict(MASS_SMALL, out=str(tmp_path / "run")))

@@ -41,10 +41,11 @@ class _References:
     def space_eps0(kernel, e, c):
         """The volume width: min(beta0/2, (sqrt(Y0^2 + 2c(W0+1)) - Y0) / (2(W0+2))),
         bisected on the band area while that area exceeds c; 0.0 where no
-        positive width fits."""
+        positive width fits.  beta0 takes the spread to the velocity edge
+        farther from the barycenter, the edge the step acts on."""
         Y0, W0 = float(e.x[:, 0].max()), float(e.v[:, 0].max())
         vbar0 = float(e.w @ e.v[:, 0])
-        beta0 = _band_offsets(kernel, Y0 + W0, W0 - vbar0)[1]
+        beta0 = _band_offsets(kernel, Y0 + W0, max(W0 - vbar0, vbar0))[1]
         eps0 = min(
             beta0 / 2.0,
             (math.sqrt(Y0 * Y0 + 2.0 * c * (W0 + 1.0)) - Y0) / (2.0 * (W0 + 2.0)),
