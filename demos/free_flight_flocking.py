@@ -30,12 +30,13 @@ print(f"certified spatial radius bound X_M = {verdict.X_M:.4f}")
 traj = integrate(kernel, cloud, ControlPlan(), horizon=20.0, dt_max=0.01,
                  sample_stride=10)
 
+cols = traj.columns
 print("\n   t      X(t)     V(t)")
-for s in traj.samples[:: len(traj.samples) // 10]:
-    print(f"{s.t:5.1f}  {s.metrics.X:.5f}  {s.metrics.V:.2e}")
+for i in range(0, cols.t.size, cols.t.size // 10):
+    print(f"{cols.t[i]:5.1f}  {cols.X[i]:.5f}  {cols.V[i]:.2e}")
 
 rate = decay_rate_estimate(traj)
 print(f"\nfitted decay rate  {rate:.4f}")
 print(f"guaranteed minimum {float(kernel.phi(2.0 * verdict.X_M)):.4f}")
-assert max(s.metrics.X for s in traj.samples) <= verdict.X_M
+assert cols.X.max() <= verdict.X_M
 print("spatial radius stayed below X_M for the whole run")

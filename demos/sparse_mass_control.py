@@ -49,4 +49,4 @@ print(f"terminal certificate    {result.terminal_verdict.in_region}")
 post = integrate(kernel, result.final, ControlPlan(), horizon=10.0,
                  dt_max=0.01, t0=result.plan.t_end, sample_stride=10)
 print(f"\npost-control decay rate {decay_rate_estimate(post):.4f}")
-print(f"final velocity radius   {post.samples[-1].metrics.V:.2e}")
+print(f"final velocity radius   {post.columns.V[-1]:.2e}")

@@ -158,5 +158,5 @@ class VolumeBudget:
 
 def fundamental_step_space(kernel: Kernel, e: Ensemble, c: float,
                            dt_max: float | None = None, t_start: float = 0.0):
-    """One volume-budget step; kept while the benchmark's tracer names it (ROADMAP item 1)."""
+    """One volume-budget step; kept while the benchmark's tracer names it (ROADMAP item 2)."""
     return control_mass.fundamental_step(kernel, e, VolumeBudget(c), dt_max, 0, t_start)

@@ -491,7 +491,8 @@ def _rk4_segment(kernel, x, v, w, piece, t0, t1, u0=None):
 # The most RK4 steps one flight may take.  A flight records at most one
 # sample per step (a free flight, one per 10), so this also bounds its
 # sample log.  The longest flight of the test suite takes 10,000 steps, and
-# a replay of the benchmark's volume_1d plan 11,596.
+# a replay of the benchmark's volume_1d plan (seed 3) 912 under control and
+# 100 after it.
 MAX_FLIGHT_STEPS = 1_000_000
 
 

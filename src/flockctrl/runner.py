@@ -10,8 +10,9 @@ produces three artifacts in the output directory:
 
 All outputs are deterministic for a fixed scenario (seeds included).  What
 a run cost goes only to the ``flockctrl`` logger, as one INFO line, so the
-artifacts stay byte-reproducible.  The artifacts are written as a stream: no
-writer holds a whole file's text.  A replayed plan document is checked piece
+artifacts stay byte-reproducible.  ``trajectory.csv`` is written a chunk of
+rows at a time; a JSON artifact goes through ``json.dump`` from a strict copy
+of its document (``dump_json``).  A replayed plan document is checked piece
 by piece before it is integrated.
 """
 
@@ -24,7 +25,6 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class Scenario:
     step_budget: int = 100_000
     out: str | None = None
 
-    # kept while the benchmark's set-up calls them (ROADMAP item 1)
+    # kept while the benchmark's set-up calls them (ROADMAP item 2)
     def build_kernel(self) -> Kernel:
         return self.kernel
 
@@ -339,65 +339,26 @@ def _box_dict(box) -> dict:
     }
 
 
-def _json_scalar(x) -> str | None:
-    """The JSON text of a str, bool, None, int or float, in ``json.dumps``'s
-    order of tests; a non-finite float is the string of its token.  None for
-    anything else."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if math.isfinite(x):
-            return float.__repr__(x)
-        return '"NaN"' if x != x else '"Infinity"' if x > 0 else '"-Infinity"'
-    return None
-
-
-def _json_chunks(x, indent: str):
-    """The text of the dict, list, tuple or iterator ``x``, piece by piece, as
-    ``json.dump(x, fh, indent=2, sort_keys=True)`` writes it at a nesting
-    whose lines start with ``indent``.  An iterator is an array whose items
-    are made as they are written."""
+def _strict(x):
+    """A copy of ``x`` that strict JSON can hold: a non-finite float becomes the
+    string of its token, and a tuple or an iterator a list."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return json.dumps(x)
     if isinstance(x, dict):
-        items, brackets = ((k, x[k]) for k in sorted(x)), "{}"
-    elif isinstance(x, (list, tuple, Iterator)):
-        items, brackets = ((None, val) for val in x), "[]"
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    inner = indent + "  "
-    sep = brackets[0] + "\n" + inner
-    for key, val in items:
-        if key is not None:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            sep += encode_basestring_ascii(key) + ": "
-        text = _json_scalar(val)
-        if text is None:
-            yield sep
-            yield from _json_chunks(val, inner)
-        else:
-            yield sep + text
-        sep = ",\n" + inner
-    # sep is still the opening one when there was no item
-    yield "\n" + indent + brackets[1] if sep[0] == "," else brackets
+        if not all(isinstance(k, str) for k in x):
+            raise TypeError("keys must be str")
+        return {k: _strict(val) for k, val in x.items()}
+    if isinstance(x, (list, tuple, Iterator)):
+        return [_strict(val) for val in x]
+    return x
 
 
 def dump_json(doc, fh) -> None:
     """Write ``doc`` to the text file ``fh`` as strict JSON, indented, with sorted
-    keys, and a newline: the bytes of ``json.dump(doc, fh, indent=2,
-    sort_keys=True)``, except that JSON has no non-finite number, so such a
-    float goes out as the string "Infinity", "-Infinity" or "NaN".  An
-    iterator in ``doc`` goes out as an array.  The text is written as it is
-    made, so no copy of ``doc`` and no whole text is ever held."""
-    text = _json_scalar(doc)
-    fh.writelines([text] if text is not None else _json_chunks(doc, ""))
+    keys, and a newline.  JSON has no non-finite number, so such a float goes
+    out as the string "Infinity", "-Infinity" or "NaN".  An iterator in
+    ``doc`` goes out as an array."""
+    json.dump(_strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 
@@ -497,7 +458,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             "schema_version": SCHEMA_VERSION,
             "dimension": e0.d,
             "kernel": kernel.to_dict(),
-            # ControlPlan.to_dict's pieces, each made as it is written
+            # ControlPlan.to_dict's pieces, each made only as dump_json copies it
             "plan": {"pieces": map(ControlPiece.to_dict, plan.pieces)},
         }
         _write_json(os.path.join(out, "plan.json"), plan_doc)

@@ -9,14 +9,19 @@ spread bounds, with the budget and |u| <= 1 held at every sample, and a
 replay of its plan.json reproduces its trajectory.csv byte for byte.  A run
 that fails a run-time audit (ContractionError) or stops being finite fails
 the test: on these instances the construction guarantees neither.
+
+The audits check the RK4 flight, while the theorems speak of the exact flow,
+so a few fixed plans are also replayed with a quarter of their step.
 """
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +31,10 @@ from flockctrl import (
     StrategyFailure,
     replay_plan,
     run_scenario,
+    support_box,
     validate_config,
 )
+from flockctrl.flocking import covering_box_test
 
 _KERNELS = st.one_of(
     st.builds(lambda K, gamma: {"family": "power_law", "K": K, "gamma": gamma},
@@ -151,3 +158,49 @@ def test_a_synthesis_keeps_every_guarantee_or_raises_a_named_error(instance):
         with open(os.path.join(out, "trajectory.csv"), "rb") as a, \
                 open(os.path.join(out, "replay.csv"), "rb") as b:
             assert a.read() == b.read()
+
+
+def _box_cloud(d, mode, n, v_high):
+    """A uniform cloud in [0, 1]^d x [0, v_high]^d under the budget c = 1."""
+    return {
+        "schema_version": 1,
+        "dimension": d,
+        "kernel": {"family": "power_law", "K": 1.0, "gamma": 1.0},
+        "mode": mode,
+        "c": 1.0,
+        "initial": {"kind": "uniform_box", "particles": n, "seed": 3, "x_low": [0.0] * d,
+                    "x_high": [1.0] * d, "v_low": [0.0] * d, "v_high": [v_high] * d},
+        "post_horizon": 0.0,
+    }
+
+
+# how far the finer flight may end from the synthesized one, in x and in v,
+# on clouds in the unit box: the three plans below move by 2.1e-6, 3.9e-6 and
+# 2.9e-5, and their certificate margins are 0.11 to 0.21
+_FINER_FLIGHT_TOL = 1e-4
+
+
+@pytest.mark.parametrize("doc", [
+    _box_cloud(2, "mass", 20, 0.25),  # 76 steps
+    _box_cloud(1, "mass", 20, 0.5),  # 42 steps
+    _box_cloud(1, "volume", 30, 1.0),  # 116 steps
+], ids=["mass_2d", "mass_1d", "volume_1d"])
+def test_a_certificate_survives_a_finer_flight(tmp_path, doc):
+    s = validate_config(json.dumps(dict(doc, out=str(tmp_path))))
+    _, traj, plan = run_scenario(s)
+    with open(tmp_path / "plan.json") as fh:
+        plan_doc = json.load(fh)
+    dt = min(p.dt for p in plan.pieces)
+    fine = replay_plan(plan_doc, dataclasses.replace(s, dt_max=dt / 4))
+    cols = fine.columns
+    # every piece flew at least four times as many steps as it was synthesized with
+    assert cols.t.size >= 4 * (traj.columns.t.size - 1) + 1
+
+    verdict, _ = covering_box_test(s.kernel, support_box(fine.final))
+    assert verdict.in_region
+    if s.mode == "mass":
+        assert cols.mass.max() <= s.c + 2.0 * s.ensemble.w.max()
+    else:
+        assert cols.area.max() <= s.c
+    assert np.abs(fine.final.x - traj.final.x).max() <= _FINER_FLIGHT_TOL
+    assert np.abs(fine.final.v - traj.final.v).max() <= _FINER_FLIGHT_TOL

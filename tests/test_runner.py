@@ -428,7 +428,8 @@ def test_dump_json_writes_each_non_finite_float_as_a_string():
 
 
 def _reference_dump_json(doc, fh):
-    """dump_json as it was before it streamed: a strict deep copy, then json.dump."""
+    """The bytes dump_json must write: a strict deep copy, then json.dump, kept
+    apart from runner._strict so that neither checks itself."""
 
     def strict(x):
         if isinstance(x, float) and not math.isfinite(x):
