@@ -17,6 +17,8 @@ run either.
 from __future__ import annotations
 
 import math
+import sys
+import time
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -32,6 +34,7 @@ from .kernels import Kernel
 _MASS_TOL = 1e-12
 _CONTRACTION_SLACK = 1e-6
 _BOX_SLACK = 1e-6
+_PROGRESS_PERIOD = 1.0  # least seconds between two progress lines of a synthesis
 
 
 class AlreadyFlockedSignal(Exception):
@@ -285,11 +288,11 @@ def theorem5_threshold(kernel: Kernel, Y0: np.ndarray, W0: np.ndarray, c: float)
 @dataclass(frozen=True)
 class MassBudget:
     """At most mass c in the control set at every instant: steps of n = ceil(2/c)
-    column pieces of two RK4 steps each, ended at theorem 4's eta in one
+    column pieces of one RK4 step each, ended at theorem 4's eta in one
     dimension and theorem 5's in more."""
 
     c: float
-    rk4_per_piece: ClassVar[int] = 2
+    rk4_per_piece: ClassVar[int] = 1
     # the StepRecord fields whose worst value over the steps a summary reports
     worst_audits: ClassVar[tuple] = ("max_mass_in_omega", "max_u_sup", "max_vbar_drift")
 
@@ -333,10 +336,11 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
     keep the velocity interval on the axis inside [v_lo, v_lo + W0] and |u|
     at most 1 at every sample; then the budget runs its own audits.  Returns
     (ensemble after the step, StepRecord, plan fragment, Trajectory).  By
-    default each piece takes ``budget.rk4_per_piece`` RK4 steps: a mass piece
-    lasts at most beta0/(2 c n), small against the 1/beta0 force stiffness,
-    and the contraction audit rejects the step if discretization ever eats
-    the analytic margin.
+    default each piece takes ``budget.rk4_per_piece`` RK4 steps, one for a
+    mass piece: it lasts at most beta0/(2 c n) while the force ramps over
+    beta0, so dt/beta0 <= 1/(2 c n) <= 1/4, as c ceil(2/c) >= 2; and the
+    contraction audit rejects the step if discretization ever eats the
+    analytic margin.
     """
     box = support_box(e)
     params = budget.params(kernel, normalized(e, box), axis)
@@ -382,6 +386,22 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
     return traj.final, record, frag, traj
 
 
+def _flockctrl_log():
+    """The ``flockctrl`` logger, or None in a process that has not imported
+    logging: such a process has no handler to show a line, and the import
+    adds ~0.4 MB to the peak RSS, so logging is looked up, not imported."""
+    logging = sys.modules.get("logging")
+    return None if logging is None else logging.getLogger("flockctrl")
+
+
+def _log_progress(log, rec: StepRecord, eta: float, steps: int) -> None:
+    p = rec.params
+    log.info(
+        "synthesis step %d on axis %d: W %.9g -> %.9g, guaranteed %.9g, eta %.9g",
+        steps, p.axis, p.W0, rec.W_after[p.axis], p.W0 - p.T0 / p.n, eta,
+    )
+
+
 def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = None,
                       dt_max: float | None = None, step_budget: int = 100_000) -> StrategyResult:
     """Run fundamental steps of ``budget`` on each of its axes in turn until
@@ -392,7 +412,9 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
     go on a running list and samples into one Trajectory log, so the loop is
     linear in the steps.  Then it audits the budget's guarantees: no
     finished axis regrows above eta, the total control time and the spatial
-    extent on axis 0 stay within the budget's bounds.
+    extent on axis 0 stay within the budget's bounds.  Progress goes to the
+    ``flockctrl`` logger as an INFO line at most once a second and one
+    after the last step.
     """
     axes, eta, time_bound, spread_bound = budget.bounds(kernel, e0, eta, step_budget)
     if not eta > 0.0:
@@ -402,6 +424,7 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
     traj = Trajectory.empty(e0)
     e, t_end, W = e0, 0.0, support_box(e0).w
     phase_end_times = []
+    log, logged, next_line = _flockctrl_log(), 0, time.monotonic() + _PROGRESS_PERIOD
     for axis in axes:
         while W[axis] > eta:
             if len(records) >= step_budget:
@@ -418,7 +441,12 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
             traj.append(step_traj, piece_offset=len(pieces))
             pieces.extend(frag.pieces)
             t_end, W = rec.t_end, rec.W_after
+            if log is not None and time.monotonic() >= next_line:
+                _log_progress(log, rec, eta, len(records))
+                logged, next_line = len(records), time.monotonic() + _PROGRESS_PERIOD
         phase_end_times.append(t_end)
+    if log is not None and len(records) > logged:
+        _log_progress(log, records[-1], eta, len(records))
     if not records:  # no step: the initial state, against no piece
         traj.record(0.0, e0.x, e0.v, e0.w, None, -1)
     plan = ControlPlan(pieces=tuple(pieces))

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .control_mass import (
+    _flockctrl_log,
     ContractionError,
     DegenerateMeasureError,
     MassBudget,
@@ -462,11 +463,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             "plan": {"pieces": map(ControlPiece.to_dict, plan.pieces)},
         }
         _write_json(os.path.join(out, "plan.json"), plan_doc)
-    # logging is looked up, not imported: a process that has not imported it
-    # has no handler to show the line, and the import adds ~0.4 MB to the peak
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("flockctrl").info(
+    if (log := _flockctrl_log()) is not None:
+        log.info(
             "scenario done in %.2f s wall: %d samples, %d pieces, peak RSS %s",
             time.perf_counter() - t_wall, cols.t.size, len(plan.pieces), _peak_rss(),
         )

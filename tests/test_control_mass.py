@@ -1,7 +1,9 @@
 """Mass-budget control synthesis: step geometry, contraction, strategies."""
 
 import dataclasses
+import logging
 import math
+import types
 import typing
 
 import numpy as np
@@ -429,3 +431,45 @@ class TestMultiD:
         box = support_box(e0)
         n = math.ceil(2.0 / 0.5)
         assert res.total_control_time <= n * float(box.w.sum()) + 1e-9
+
+
+class TestProgress:
+    """complete_strategy's INFO lines on the flockctrl logger."""
+
+    @staticmethod
+    def _synthesize(caplog):
+        e0 = uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5)
+        with caplog.at_level(logging.INFO, logger="flockctrl"):
+            res = complete_strategy(ExponentialKernel(1.0, 1.0), e0, MassBudget(0.5))
+        assert len(res.records) > 8
+        return res, [r.getMessage() for r in caplog.records if r.name == "flockctrl"]
+
+    @staticmethod
+    def _line(res, steps):
+        rec = res.records[steps - 1]
+        p = rec.params
+        return (f"synthesis step {steps} on axis 0: W {p.W0:.9g} -> {rec.W_after[0]:.9g}, "
+                f"guaranteed {p.W0 - p.T0 / p.n:.9g}, eta {res.eta:.9g}")
+
+    def test_lines_come_at_most_once_a_second_and_after_the_last_step(
+        self, monkeypatch, caplog
+    ):
+        # every step takes a quarter of a second on the synthesis's clock
+        clock = [0.0]
+        step = control_mass.fundamental_step
+
+        def quarter_second_step(*args, **kwargs):
+            clock[0] += 0.25
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(control_mass, "fundamental_step", quarter_second_step)
+        monkeypatch.setattr(control_mass, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+        res, lines = self._synthesize(caplog)
+        last = len(res.records)
+        logged = list(range(4, last + 1, 4)) + ([last] if last % 4 else [])
+        assert lines == [self._line(res, k) for k in logged]
+
+    def test_a_synthesis_shorter_than_a_second_logs_its_last_step_only(self, monkeypatch, caplog):
+        monkeypatch.setattr(control_mass, "time", types.SimpleNamespace(monotonic=lambda: 0.0))
+        res, lines = self._synthesize(caplog)
+        assert lines == [self._line(res, len(res.records))]

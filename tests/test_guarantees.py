@@ -175,16 +175,18 @@ def _box_cloud(d, mode, n, v_high):
 
 
 # how far the finer flight may end from the synthesized one, in x and in v,
-# on clouds in the unit box: the three plans below move by 2.1e-6, 3.9e-6 and
-# 2.9e-5, and their certificate margins are 0.11 to 0.21
+# on clouds in the unit box: the four plans below, a mass piece flown in one
+# RK4 step, move by 8.2e-6, 9.2e-6, 9.2e-6 and 2.9e-5, and their certificate
+# margins are 0.10 to 0.21
 _FINER_FLIGHT_TOL = 1e-4
 
 
 @pytest.mark.parametrize("doc", [
+    _box_cloud(2, "mass", 400, 0.25),  # 83 steps, the benchmark's mass_2d size and budget
     _box_cloud(2, "mass", 20, 0.25),  # 76 steps
     _box_cloud(1, "mass", 20, 0.5),  # 42 steps
     _box_cloud(1, "volume", 30, 1.0),  # 116 steps
-], ids=["mass_2d", "mass_1d", "volume_1d"])
+], ids=["mass_2d_400", "mass_2d", "mass_1d", "volume_1d"])
 def test_a_certificate_survives_a_finer_flight(tmp_path, doc):
     s = validate_config(json.dumps(dict(doc, out=str(tmp_path))))
     _, traj, plan = run_scenario(s)

@@ -97,6 +97,14 @@ VOLUME_HIGH = {
 PLAN_BEFORE_SIGN = Path(__file__).parent / "data" / "volume_plan_before_sign.json"
 PLAN_BEFORE_SIGN_REPLAY_SHA256 = "c3d70ba82609b204474fc2c183eebb5c894a4ba888ba9113333bf3e685cd17af"
 
+# the plan.json of MASS_TWO_RK4 written when a mass piece flew two RK4 steps
+# (24 pieces, each with dt half its length), and the sha256 of the
+# trajectory.csv its replay wrote then
+MASS_TWO_RK4 = dict(MASS_SMALL, initial=dict(MASS_SMALL["initial"], particles=20), eta=0.2,
+                    post_horizon=0.5)
+PLAN_TWO_RK4 = Path(__file__).parent / "data" / "mass_plan_two_rk4.json"
+PLAN_TWO_RK4_REPLAY_SHA256 = "f89a571006c06da450ca9e63a098c2dfa6fbe7c7463f393872b5ae1b4ec24140"
+
 MASS_2D_SMALL = dict(
     MASS_SMALL,
     dimension=2,
@@ -332,6 +340,17 @@ class TestRunScenario:
         s = dataclasses.replace(_scenario(dict(VOLUME_SMALL, mode=mode)), c=c)
         with pytest.raises(ConfigError, match="c must be a positive finite number"):
             run_scenario(s)
+
+    @pytest.mark.parametrize("doc", [MASS_SMALL, MASS_2D_SMALL], ids=["mass_1d", "mass_2d"])
+    def test_a_mass_synthesis_flies_each_piece_in_one_rk4_step(self, monkeypatch, doc):
+        steps = _count_rk4_steps(monkeypatch)
+        s = _scenario(dict(doc, post_horizon=0.0))
+        summary, _, plan = run_scenario(s)
+        assert summary.steps > 0
+        assert len(plan.pieces) == summary.steps * math.ceil(2.0 / s.c)
+        assert len(steps) == len(plan.pieces)
+        for p in plan.pieces:
+            assert p.dt == pytest.approx(p.t_end - p.t_start, rel=1e-12)
 
 
 class TestReplay:
@@ -662,20 +681,25 @@ class TestCli:
         assert specs == [MINIMAL["kernel"]]
 
     def test_verbose_reports_what_the_run_cost_in_one_line(self, tmp_path, capsys):
-        cfg = self._write_config(tmp_path, dict(MASS_SMALL, out=str(tmp_path / "art")))
+        art = tmp_path / "art"
+        cfg = self._write_config(tmp_path, dict(MASS_SMALL, out=str(art)))
         assert cli_main(["--config", cfg, "-v"]) == 0
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
+        # the synthesis's progress lines, then the cost line
+        *progress, cost = capsys.readouterr().err.splitlines()
+        assert progress and all(line.startswith("synthesis step ") for line in progress)
         assert re.fullmatch(
             r"scenario done in \d+\.\d\d s wall: \d+ samples, \d+ pieces, "
-            r"peak RSS \d+\.\d MB", lines[0]
-        ), lines[0]
-        plan = json.loads((tmp_path / "art" / "plan.json").read_text())
-        rows = (tmp_path / "art" / "trajectory.csv").read_text().count("\n") - 1
-        assert f" {rows} samples, {len(plan['plan']['pieces'])} pieces," in lines[0]
-        # and the next run without -v is silent again
+            r"peak RSS \d+\.\d MB", cost
+        ), cost
+        plan = json.loads((art / "plan.json").read_text())
+        rows = (art / "trajectory.csv").read_text().count("\n") - 1
+        assert f" {rows} samples, {len(plan['plan']['pieces'])} pieces," in cost
+        names = ("trajectory.csv", "summary.json", "plan.json")
+        written = {f: (art / f).read_bytes() for f in names}
+        # and the next run without -v is silent again, and writes the same artifacts
         assert cli_main(["--config", cfg]) == 0
         assert capsys.readouterr().err == ""
+        assert written == {f: (art / f).read_bytes() for f in written}
 
     @pytest.mark.parametrize(
         "changes, named",
@@ -1057,6 +1081,17 @@ class TestCli:
         assert cli_main(argv) == 0
         csv = (replayed / "trajectory.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == PLAN_BEFORE_SIGN_REPLAY_SHA256
+
+    def test_a_mass_plan_of_two_rk4_steps_a_piece_replays_as_it_did(self, tmp_path):
+        pieces = json.loads(PLAN_TWO_RK4.read_text())["plan"]["pieces"]
+        assert len(pieces) == 24
+        assert all(p["dt"] == pytest.approx((p["t_end"] - p["t_start"]) / 2.0) for p in pieces)
+        cfg = self._write_config(tmp_path, MASS_TWO_RK4)
+        replayed = tmp_path / "replayed"
+        argv = ["--config", cfg, "--replay", str(PLAN_TWO_RK4), "--out", str(replayed)]
+        assert cli_main(argv) == 0
+        csv = (replayed / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == PLAN_TWO_RK4_REPLAY_SHA256
 
     @pytest.mark.parametrize(
         "kind, sign",
