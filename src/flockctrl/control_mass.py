@@ -328,21 +328,35 @@ class MassBudget:
 
 
 def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None = None,
-                     axis: int = 0, t_start: float = 0.0):
+                     axis: int = 0, t_start: float = 0.0, log: Trajectory | None = None,
+                     piece_offset: int = 0):
     """Execute one fundamental step of ``budget`` on the given axis.
 
     Renormalizes the support box and flies the budget's n pieces, slots of
     T0/n, which must contract W on the axis to W_before - T0/n (+slack) and
     keep the velocity interval on the axis inside [v_lo, v_lo + W0] and |u|
     at most 1 at every sample; then the budget runs its own audits.  Returns
-    (ensemble after the step, StepRecord, plan fragment, Trajectory).  By
-    default each piece takes ``budget.rk4_per_piece`` RK4 steps, one for a
-    mass piece: it lasts at most beta0/(2 c n) while the force ramps over
+    (ensemble after the step, StepRecord, plan fragment, the step's rows).
+    By default each piece takes ``budget.rk4_per_piece`` RK4 steps, one for
+    a mass piece: it lasts at most beta0/(2 c n) while the force ramps over
     beta0, so dt/beta0 <= 1/(2 c n) <= 1/4, as c ceil(2/c) >= 2; and the
     contraction audit rejects the step if discretization ever eats the
     analytic margin.
+
+    The step records into ``log``, the run's log (a new one when omitted),
+    numbering its pieces after ``piece_offset`` others (see
+    :func:`dynamics.integrate`).  A log whose last row is at t_start holds
+    e's sample: the step reads its box there and does not record it again,
+    and the step's audits take that row, with e audited against the step's
+    first piece, as its first sample.
     """
-    box = support_box(e)
+    log = Trajectory.empty(e) if log is None else log
+    # e's row, when the log holds it: the step's first sample
+    last = log.columns if log.continues(t_start) else None
+    if last is None:
+        box = support_box(e)
+    else:
+        box = SupportBox(last.Y[-1], last.W[-1], last.x_shift[-1], last.v_shift[-1])
     params = budget.params(kernel, normalized(e, box), axis)
     slot = params.T0 / params.n
     if not slot > _JOIN_TOL:
@@ -350,8 +364,9 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
             f"step pieces of {slot:.3e} fall in a plan's {_JOIN_TOL:g} tolerance")
     dt = dt_max if dt_max is not None else slot / budget.rk4_per_piece
     frag = ControlPlan(pieces=tuple(budget.pieces(params, t_start, box, dt)))
-    traj = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start)
-    cols = traj.columns
+    flight = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start, log=log,
+                       piece_offset=piece_offset)
+    cols = flight.columns
     # the last sample is the final state
     W_after, Y_after = cols.W[-1].copy(), cols.Y[-1].copy()
     W_target = params.W0 - slot
@@ -361,12 +376,20 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
             f"above the guaranteed {W_target:.9f}"
         )
     v_lo = float(box.v_shift[axis])
+    # e's row in the log has exactly this box, so only the flight's rows can fail these
     lo = cols.v_shift[:, axis]
     if np.any(lo < v_lo - _BOX_SLACK):
         raise ContractionError("lower velocity edge dropped during step")
     if np.any(lo + cols.W[:, axis] > v_lo + params.W0 + _BOX_SLACK):
         raise ContractionError("upper velocity edge rose during step")
-    max_u_sup = float(cols.u_sup.max())
+    vbar_drift = np.abs(cols.vbar[:, axis] - (v_lo + params.vbar0)).max()
+    worst = [cols.u_sup.max(), cols.mass.max(), cols.area.max()]
+    if last is not None:
+        o = flight.opening
+        vbar_drift = max(vbar_drift, abs(last.vbar[-1, axis] - (v_lo + params.vbar0)))
+        # max keeps a NaN that comes first
+        worst = [max(a, b) for a, b in zip(worst, (o.u_sup, o.mass, o.area))]
+    max_u_sup, max_mass, max_area = map(float, worst)
     if not max_u_sup <= 1.0:
         raise ContractionError(f"control force reached |u| = {max_u_sup!r} during step, above 1")
     record = StepRecord(
@@ -378,12 +401,12 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
         Y_before=box.y.copy(),
         Y_after=Y_after,
         max_u_sup=max_u_sup,
-        max_mass_in_omega=float(cols.mass.max()),
-        max_omega_area=float(cols.area.max()),
-        max_vbar_drift=float(np.abs(cols.vbar[:, axis] - (v_lo + params.vbar0)).max()),
+        max_mass_in_omega=max_mass,
+        max_omega_area=max_area,
+        max_vbar_drift=float(vbar_drift),
     )
     budget.audit(record, e)
-    return traj.final, record, frag, traj
+    return flight.final, record, frag, flight
 
 
 def _flockctrl_log():
@@ -409,8 +432,10 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
 
     With eta omitted the budget computes it from the initial box so that the
     terminal configuration is certified inside the flocking region.  Pieces
-    go on a running list and samples into one Trajectory log, so the loop is
-    linear in the steps.  Then it audits the budget's guarantees: no
+    go on a running list, and every step records its samples straight into
+    the run's one Trajectory log, so the loop is linear in the steps: a step
+    starts from the log's last row, whose box and metrics are not computed
+    again.  Then it audits the budget's guarantees: no
     finished axis regrows above eta, the total control time and the spatial
     extent on axis 0 stay within the budget's bounds.  Progress goes to the
     ``flockctrl`` logger as an INFO line at most once a second and one
@@ -433,12 +458,11 @@ def complete_strategy(kernel: Kernel, e0: Ensemble, budget, eta: float | None = 
                     records=records,
                 )
             # through the module attribute, which a caller may wrap, once per step
-            e, rec, frag, step_traj = fundamental_step(
-                kernel, e, budget, dt_max=dt_max, axis=axis, t_start=t_end
+            e, rec, frag, _ = fundamental_step(
+                kernel, e, budget, dt_max=dt_max, axis=axis, t_start=t_end, log=traj,
+                piece_offset=len(pieces),
             )
             records.append(rec)
-            # the step numbers its pieces from 0; the plan, from len(pieces)
-            traj.append(step_traj, piece_offset=len(pieces))
             pieces.extend(frag.pieces)
             t_end, W = rec.t_end, rec.W_after
             if log is not None and time.monotonic() >= next_line:

@@ -61,8 +61,8 @@ class MassBand:
         return rx, rv
 
     @staticmethod
-    def force(p, xs, vs):
-        rx, rv = MassBand.reach(p, xs, vs)
+    def force(p, vs, rx, rv):
+        """The force at frame velocities vs, whose reach into the band is (rx, rv)."""
         psi = _clip_unit(np.minimum(rx / p["eps"], rv / p["beta"]))
         return -psi * np.sign(vs - p["vbar"])
 
@@ -89,8 +89,8 @@ class SpaceBand:
         return rx, rv
 
     @staticmethod
-    def force(p, xs, vs):
-        rx, rv = SpaceBand.reach(p, xs, vs)
+    def force(p, vs, rx, rv):
+        """The force at frame velocities vs, whose reach into the band is (rx, rv)."""
         return -_clip_unit(rx / p["eps"]) * _clip_unit(rv / p["eps"])
 
     @staticmethod
@@ -146,10 +146,14 @@ class ControlPiece:
         vs = v - self.v_shift
         return xs, vs
 
+    def _force_of_reach(self, vs, rx, rv) -> np.ndarray:
+        u = self._band.force(self.params, vs, rx, rv)
+        return np.negative(u, out=u) if self.sign < 0.0 else u
+
     def force_axis(self, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         """Force on the controlled velocity component, per particle."""
-        u = self._band.force(self.params, *self._frame_coords(x, v, t))
-        return np.negative(u, out=u) if self.sign < 0.0 else u
+        xs, vs = self._frame_coords(x, v, t)
+        return self._force_of_reach(vs, *self._band.reach(self.params, xs, vs))
 
     def force(self, x: np.ndarray, v: np.ndarray, t: float, add_to=None) -> np.ndarray:
         """Force on every velocity component, per particle.
@@ -166,6 +170,12 @@ class ControlPiece:
         """Closed-box membership of each particle in the control set."""
         rx, rv = self._band.reach(self.params, *self._frame_coords(x, v, t))
         return np.minimum(rx, rv) >= 0.0
+
+    def force_and_membership(self, x: np.ndarray, v: np.ndarray, t: float):
+        """(``force_axis``, ``in_omega``) at (x, v, t), from one frame transform and reach."""
+        xs, vs = self._frame_coords(x, v, t)
+        rx, rv = self._band.reach(self.params, xs, vs)
+        return self._force_of_reach(vs, rx, rv), np.minimum(rx, rv) >= 0.0
 
     def omega_volume(self) -> float:
         """Lebesgue area of the control set in the (x_axis, v_axis) plane."""
@@ -293,6 +303,23 @@ def _empty_columns(d: int, rows: int) -> SampleColumns:
     ))
 
 
+class Audit(NamedTuple):
+    """A state's audit against the control piece it is flown under: the
+    ``mass``, ``area`` and ``u_sup`` of its sample row, and the force."""
+
+    u: np.ndarray | None  # the piece's force_axis at the state; None without a piece
+    mass: float
+    area: float
+    u_sup: float
+
+
+def _audit(x, v, w, t, piece) -> Audit:
+    if piece is None:
+        return Audit(None, 0.0, 0.0, 0.0)
+    u, inside = piece.force_and_membership(x, v, t)
+    return Audit(u, float(w[inside].sum()), piece.omega_volume(), float(np.abs(u).max()))
+
+
 def _repeats(t: np.ndarray, later: np.ndarray) -> int:
     """1 if the sample times ``later`` start with a repeat of the last of ``t``, else 0."""
     return int(t.size > 0 and later.size > 0 and abs(later[0] - t[-1]) <= _SAMPLE_TOL)
@@ -332,13 +359,19 @@ _CSV_CHUNK = 1024  # trajectory.csv rows converted to text at a time
 class Trajectory:
     """The append-only log of a run's samples, and the state it ends in.
 
-    ``record`` appends a raw state's sample and ``append`` a later trajectory's
-    rows, into arrays that double when full, so a run keeps one log and never
-    copies it.  Rows once written never change, and each comes after the last.
+    ``record`` appends a raw state's sample, into arrays that double when
+    full; every flight of a run records into the run's one log (see
+    :func:`integrate`), so no run copies its rows.  ``append`` copies in a
+    later trajectory's rows.  Rows once written never change, and each comes
+    after the last.
     ``columns`` (:class:`SampleColumns`), read-only views of the rows so far,
     is what the audits and the CSV read.  ``samples`` shows the same values
     as a read-only sequence of :class:`TrajectorySample` rows, built on access.
     """
+
+    # on the rows of a flight that continued its log (see integrate): the
+    # audit of its first state, whose row the log held already
+    opening: Audit | None = None
 
     def __init__(self, columns: SampleColumns, final: Ensemble):
         if np.any(columns.t[1:] <= columns.t[:-1]):
@@ -389,16 +422,21 @@ class Trajectory:
         c.Y[i], c.W[i], c.x_shift[i], c.v_shift[i] = support_box_of(x, v)
         c.xbar[i], c.vbar[i], c.Lambda[i], c.X[i], c.V[i] = flocking_metrics_of(x, v, w)
         c.piece[i] = piece_idx
-        u = None
-        if piece is None:
-            c.mass[i] = c.area[i] = c.u_sup[i] = 0.0
-        else:
-            u = piece.force_axis(x, v, t)
-            c.mass[i] = w[piece.in_omega(x, v, t)].sum()
-            c.area[i] = piece.omega_volume()
-            c.u_sup[i] = np.abs(u).max()
+        audit = _audit(x, v, w, t, piece)
+        c.mass[i], c.area[i], c.u_sup[i] = audit.mass, audit.area, audit.u_sup
         self._n = i + 1
-        return u
+        return audit.u
+
+    def continues(self, t: float) -> bool:
+        """Whether the last row is at time t: a flight from t starts from its state."""
+        return self._n > 0 and abs(self._cols.t[self._n - 1] - t) <= _SAMPLE_TOL
+
+    def _since(self, row: int) -> "Trajectory":
+        """Rows ``row`` on, as a trajectory of views that ends where this one does."""
+        rows = object.__new__(Trajectory)
+        rows._cols = SampleColumns(*(col[row : self._n] for col in self._cols))
+        rows._n, rows.final = self._n - row, self.final
+        return rows
 
     def append(self, traj: "Trajectory", piece_offset: int = 0) -> None:
         """Append a later trajectory's rows, dropping a first one that repeats the
@@ -546,6 +584,10 @@ def flight_segments(plan: ControlPlan, horizon: float, dt_max: float | None = No
     return segments
 
 
+def _row_piece(piece_idx: int, piece_offset: int) -> int:
+    return piece_idx + piece_offset if piece_idx >= 0 else -1
+
+
 def integrate(
     kernel: Kernel,
     e0: Ensemble,
@@ -554,6 +596,8 @@ def integrate(
     dt_max: float | None = None,
     t0: float = 0.0,
     sample_stride: int = 1,
+    log: Trajectory | None = None,
+    piece_offset: int = 0,
 ) -> Trajectory:
     """Advance the ensemble over [t0, t0 + horizon] under the control plan.
 
@@ -561,10 +605,19 @@ def integrate(
     at every piece boundary, at the end, and at every `sample_stride`-th
     interior step.  Each sample's metrics, support box and constraint audits
     (mass in omega, omega area, sup |u| against the active piece) go straight
-    from the raw (x, v) arrays into the columns of the returned trajectory
-    (see :meth:`Trajectory.record`).  The audit's force at a sample is the first
-    stage of the next RK4 step when that step stays in the same piece, so it
-    is evaluated once.
+    from the raw (x, v) arrays into the columns of ``log`` (see
+    :meth:`Trajectory.record`), a new one when omitted, which then ends in
+    the flight's final state.  Each row's piece is its plan index plus
+    ``piece_offset`` (-1 under no piece): the pieces of ``plan`` come after
+    that many others in the run's plan.  A log whose last row is at t0 holds
+    e0's sample already: the flight does not record it again, and audits
+    that state against the piece it starts under only.  The audit's force at
+    a sample is the first stage of the next RK4 step when that step stays in
+    the same piece, so it is evaluated once.
+
+    Returns the rows the flight recorded, as a trajectory of views into
+    ``log`` that ends in the final state.  When the flight continued the
+    log, its ``opening`` is the :class:`Audit` of e0 against the piece at t0.
 
     Each segment between piece boundaries is cut into equal steps no longer
     than: the piece's synthesis-time ``dt``, capped by an explicit dt_max (so
@@ -576,10 +629,16 @@ def integrate(
     """
     segments = flight_segments(plan, horizon, dt_max, t0)
     x, v, w = e0.x.copy(), e0.v.copy(), e0.w
-    log = Trajectory.empty(e0)
+    log = Trajectory.empty(e0) if log is None else log
+    first = log._n
     piece_idx = plan.piece_index_at(t0)
+    piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
     # u is the force of piece piece_idx at the current state, when an audit has it
-    u = log.record(t0, x, v, w, plan.pieces[piece_idx] if piece_idx >= 0 else None, piece_idx)
+    if log.continues(t0):  # e0's row is the log's: audit e0 against this flight only
+        opening = _audit(x, v, w, t0, piece)
+        u = opening.u
+    else:
+        opening, u = None, log.record(t0, x, v, w, piece, _row_piece(piece_idx, piece_offset))
 
     # a state that overflows raises IntegrationError, so numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
@@ -587,6 +646,7 @@ def integrate(
             if idx != piece_idx:
                 piece_idx, u = idx, None  # the last audit was of another piece
             piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
+            row_piece = _row_piece(piece_idx, piece_offset)
             dt = (seg_end - seg_start) / nsteps
             for k in range(nsteps):
                 x, v = _rk4_segment(
@@ -596,10 +656,12 @@ def integrate(
                 if k == nsteps - 1 or (k + 1) % sample_stride == 0:
                     t_now = seg_end if k == nsteps - 1 else seg_start + (k + 1) * dt
                     # audit against the piece governing the step just taken
-                    u = log.record(t_now, x, v, w, piece, piece_idx)
+                    u = log.record(t_now, x, v, w, piece, row_piece)
 
-    log.final = Ensemble(x=x, v=v, w=w)
-    return log
+    log.final = Ensemble._trusted(x, v, w)
+    flight = log._since(first)
+    flight.opening = opening
+    return flight
 
 
 def decay_rate_estimate(traj: Trajectory, t_from: float = 0.0) -> float:

@@ -42,6 +42,16 @@ class Ensemble:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
 
+    @classmethod
+    def _trusted(cls, x: np.ndarray, v: np.ndarray, w: np.ndarray) -> "Ensemble":
+        """An ensemble of float arrays x, v (N, d) and weights w that an
+        ensemble already holds, built without the checks of ``__post_init__``."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "x", x)
+        object.__setattr__(e, "v", v)
+        object.__setattr__(e, "w", w)
+        return e
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -108,7 +118,7 @@ def normalized(e: Ensemble, box: SupportBox | None = None) -> Ensemble:
     """Copy of the ensemble translated into the support box frame."""
     if box is None:
         box = support_box(e)
-    return Ensemble(x=e.x - box.x_shift[None, :], v=e.v - box.v_shift[None, :], w=e.w)
+    return Ensemble._trusted(e.x - box.x_shift[None, :], e.v - box.v_shift[None, :], e.w)
 
 
 def flocking_metrics_of(x: np.ndarray, v: np.ndarray, w: np.ndarray):

@@ -45,6 +45,7 @@ from .dynamics import (
     ControlPlan,
     FlightTooLongError,
     IntegrationError,
+    Trajectory,
     decay_rate_estimate,
     flight_segments,
     integrate,
@@ -368,8 +369,9 @@ def _write_json(path, doc) -> None:
         dump_json(doc, fh)
 
 
-def _free_flight(kernel, e, t0, horizon, dt_max):
-    return integrate(kernel, e, ControlPlan(), horizon, dt_max=dt_max, t0=t0, sample_stride=10)
+def _free_flight(kernel, e, t0, horizon, dt_max, log=None):
+    return integrate(kernel, e, ControlPlan(), horizon, dt_max=dt_max, t0=t0, sample_stride=10,
+                     log=log)
 
 
 def run_scenario(s: Scenario, out_dir: str | None = None):
@@ -389,6 +391,8 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
     even the output directory.
     """
     t_wall = time.perf_counter()
+    log = _flockctrl_log()
+    usage0 = _rusage() if log is not None else None
     out = out_dir or s.out
     if out is not None and (problem := _out_problem(out)):
         raise ConfigError([problem])
@@ -409,7 +413,7 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             plan, records, eta = result.plan, result.records, result.eta
             total_time, final, traj = result.total_control_time, result.final, result.trajectory
             if s.post_horizon > 0:
-                traj.append(_free_flight(kernel, final, plan.t_end, s.post_horizon, s.dt_max))
+                _free_flight(kernel, final, plan.t_end, s.post_horizon, s.dt_max, traj)
     except FlightTooLongError as exc:  # a step's flight under a dt_max far below its length
         raise ConfigError([str(exc)]) from exc
     except (
@@ -463,22 +467,31 @@ def run_scenario(s: Scenario, out_dir: str | None = None):
             "plan": {"pieces": map(ControlPiece.to_dict, plan.pieces)},
         }
         _write_json(os.path.join(out, "plan.json"), plan_doc)
-    if (log := _flockctrl_log()) is not None:
+    if log is not None:
         log.info(
-            "scenario done in %.2f s wall: %d samples, %d pieces, peak RSS %s",
-            time.perf_counter() - t_wall, cols.t.size, len(plan.pieces), _peak_rss(),
+            "scenario done in %.2f s wall: %d samples, %d pieces, %s",
+            time.perf_counter() - t_wall, cols.t.size, len(plan.pieces), _memory_cost(usage0),
         )
     return summary, traj, plan
 
 
-def _peak_rss() -> str:
-    """The process's peak resident set size so far, as text."""
+def _rusage():
+    """The process's resource usage so far, or None where ``resource`` is missing."""
     try:
         import resource
     except ImportError:  # not on every platform
-        return "unknown"
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
-    return f"{peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB"
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF)
+
+
+def _memory_cost(usage0) -> str:
+    """The process's peak RSS so far and its minor page faults since ``usage0``, as text."""
+    usage = _rusage()
+    if usage is None:
+        return "peak RSS unknown, unknown minor page faults"
+    # ru_maxrss is in bytes on macOS, else in KiB
+    peak = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    return f"peak RSS {peak:.1f} MB, {usage.ru_minflt - usage0.ru_minflt} minor page faults"
 
 
 _PIECE_NUMBERS = ("t_start", "t_end", "t_ref", "x_shift", "v_shift")
@@ -553,12 +566,13 @@ def replay_plan(plan_doc: dict, s: Scenario):
     StrategyFailure.
     """
     plan = _parse_plan(plan_doc, s.dimension)
+    traj = Trajectory.empty(s.ensemble)
     try:
         # dt_max=None lets the pieces' synthesis-time step hints drive the
         # integrator, reproducing the original run exactly on the control window
-        traj = integrate(s.kernel, s.ensemble, plan, plan.t_end, dt_max=s.dt_max)
+        integrate(s.kernel, s.ensemble, plan, plan.t_end, dt_max=s.dt_max, log=traj)
         if s.post_horizon > 0:
-            traj.append(_free_flight(s.kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max))
+            _free_flight(s.kernel, traj.final, plan.t_end, s.post_horizon, s.dt_max, traj)
     except FlightTooLongError as exc:  # raised before the flight's first step
         raise ConfigError([f"replayed plan: {exc}"]) from exc
     except IntegrationError as exc:

@@ -161,6 +161,36 @@ class TestFundamentalStep:
         assert frag.total_control_time() == pytest.approx(rec.params.T0)
 
 
+@pytest.mark.parametrize(
+    "budget, e0",
+    [(MassBudget(0.5), uniform_box_ensemble(
+        40, [0.0, 0.0], [0.2, 0.2], [0.0, 0.0], [0.2, 0.2], seed=5)),
+     (VolumeBudget(1.0), uniform_box_ensemble(40, 0.0, 0.3, 0.0, 0.3, seed=5))],
+    ids=["mass_2d", "volume"],
+)
+def test_a_step_into_the_run_log_keeps_the_record_of_a_step_alone(monkeypatch, budget, e0):
+    # each step of a synthesis starts from the run log's last row; flown
+    # again from the same state into a log of its own, it records the same
+    steps, step = [], control_mass.fundamental_step
+
+    def keeping(kernel, e, *args, **kwargs):
+        out = step(kernel, e, *args, **kwargs)
+        steps.append((e, kwargs["axis"], kwargs["t_start"], out[1]))
+        return out
+
+    monkeypatch.setattr(control_mass, "fundamental_step", keeping)
+    k = PowerLawKernel(1.0, 1.0)
+    res = complete_strategy(k, e0, budget)
+    assert len(steps) == len(res.records) > 2
+    for e, axis, t_start, rec in steps:
+        _, alone, _, _ = step(k, e, budget, axis=axis, t_start=t_start)
+        for a, b in ((rec, alone), (rec.params, alone.params)):
+            for f in dataclasses.fields(a):
+                got, want = getattr(a, f.name), getattr(b, f.name)
+                if f.name != "params":
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+
+
 def _mass_step():
     e = uniform_box_ensemble(60, 0.0, 1.0, 0.0, 1.0, seed=7)
     return fundamental_step(PowerLawKernel(1.0, 1.0), e, MassBudget(0.5))
@@ -216,6 +246,39 @@ class TestStepAuditsFire:
         self._doctor(monkeypatch, column, row, delta)
         with pytest.raises(ContractionError, match=message):
             step()
+
+
+    @pytest.mark.parametrize(
+        "doctored, message",
+        [("u_sup", "control force reached"), ("mass", "control set carried mass"),
+         ("vbar", "barycenter drifted")],
+    )
+    def test_a_step_from_the_log_audits_its_first_state(self, monkeypatch, doctored, message):
+        # that state's row is the log's, and its audit against the step's first
+        # piece is the flight's opening; each is part of the step's audits
+        k, budget = PowerLawKernel(1.0, 1.0), MassBudget(0.5)
+        e = uniform_box_ensemble(60, 0.0, 1.0, 0.0, 1.0, seed=7)
+        first = Trajectory.empty(e)
+        e1, rec, frag, _ = fundamental_step(k, e, budget, log=first)
+        cols = SampleColumns(*(a.copy() for a in first.columns))
+        # the undoctored copy passes
+        fundamental_step(k, e1, budget, t_start=rec.t_end, log=Trajectory(cols, e1))
+        cols = SampleColumns(*(a.copy() for a in first.columns))
+        if doctored == "vbar":
+            cols.vbar[-1] += 1.0
+        log = Trajectory(cols, e1)
+        real = control_mass.integrate
+
+        def integrate(*args, **kwargs):
+            flight = real(*args, **kwargs)
+            if doctored != "vbar":
+                flight.opening = flight.opening._replace(**{doctored: 1e3})
+            return flight
+
+        monkeypatch.setattr(control_mass, "integrate", integrate)
+        with pytest.raises(ContractionError, match=message):
+            fundamental_step(k, e1, budget, t_start=rec.t_end, log=log,
+                             piece_offset=len(frag.pieces))
 
 
 def test_type_hints_of_exported_dataclasses_resolve():

@@ -407,6 +407,33 @@ class TestSampleColumns:
         for f in finals:
             assert _bits(f.x, f.v) == _bits(reference.x, reference.v)
 
+    @pytest.mark.parametrize("case", COLUMN_CASES)
+    def test_a_flight_that_continues_a_log_records_only_its_new_rows(self, case):
+        k = PowerLawKernel(1.0, 1.0)
+        e, plan, horizon = _column_case(case)
+        alone = integrate(k, e, plan, horizon, dt_max=0.01)
+        log = integrate(k, e, ControlPlan(), 0.05, dt_max=0.01, t0=-0.05)
+        log = Trajectory(SampleColumns(*(c.copy() for c in log.columns)), e)
+        before = log.columns.t.size
+        # e stands in for the state the log ends in, at the time of its last row
+        flight = integrate(k, e, plan, horizon, dt_max=0.01, log=log, piece_offset=3)
+        assert log.columns.t.size == before + alone.columns.t.size - 1
+        assert flight.columns.t.size == alone.columns.t.size - 1
+        assert log.final is flight.final
+        assert _bits(flight.final.x, flight.final.v) == _bits(alone.final.x, alone.final.v)
+        for name in SampleColumns._fields:
+            new, ref = getattr(flight.columns, name), getattr(alone.columns, name)[1:]
+            if name == "piece":
+                ref = np.where(ref >= 0, ref + 3, -1)
+            assert _bits(new) == _bits(ref), name
+            assert _bits(getattr(log.columns, name)[before:]) == _bits(new), name
+        # the first state's row stays the log's; only its audit is the flight's
+        o = flight.opening
+        first = alone.columns
+        assert _bits(o.mass, o.area, o.u_sup) == _bits(first.mass[0], first.area[0],
+                                                      first.u_sup[0])
+        assert alone.opening is None
+
     def test_samples_are_a_read_only_sequence(self):
         e, plan, horizon = _column_case("space_band")
         traj = integrate(PowerLawKernel(1.0, 1.0), e, plan, horizon, dt_max=0.01)

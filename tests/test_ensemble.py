@@ -47,6 +47,32 @@ class TestEnsembleInvariants:
         with pytest.raises(ValueError):
             Ensemble(x=np.zeros((2, 1)), v=np.zeros((3, 1)), w=np.full(2, 0.5))
 
+    @pytest.mark.parametrize(
+        "x, v, w, message",
+        [
+            (np.zeros((2, 1)), np.zeros((3, 1)), np.full(2, 0.5), "equal shape"),
+            (np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), "nonempty"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), np.full(3, 1 / 3), "one weight per particle"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), np.array([1.0, 0.0]), "strictly positive"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), np.array([np.nan, 1.0]), "strictly positive"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), np.array([0.7, 0.7]), "sum to 1"),
+        ],
+        ids=["shape", "empty", "weight_count", "zero_weight", "nan_weight", "weight_sum"],
+    )
+    def test_the_public_constructor_rejects_each_bad_input(self, x, v, w, message):
+        # normalized and integrate's final state skip these checks on weights
+        # an ensemble already holds; the public constructor keeps every one
+        with pytest.raises(ValueError, match=message):
+            Ensemble(x=x, v=v, w=w)
+
+    def test_normalized_holds_what_the_public_constructor_would(self):
+        e = _random_ensemble(4, n=30, d=2)
+        n = normalized(e)
+        box = support_box(e)
+        public = Ensemble(x=e.x - box.x_shift, v=e.v - box.v_shift, w=e.w)
+        for a, b in ((n.x, public.x), (n.v, public.v), (n.w, public.w)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_from_points_1d(self):
         e = Ensemble.from_points([0.0, 1.0], [2.0, 3.0])
         assert e.n == 2 and e.d == 1

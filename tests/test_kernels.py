@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,83 @@ class TestInteractionFieldBlocks:
             assert not np.shares_memory(f2, arr)
         np.testing.assert_array_equal(f1, kept)
         np.testing.assert_array_equal(f1, f2)
+
+
+def _in_fresh_thread(fn):
+    """fn() in a new thread, whose field scratch starts empty; returns its result."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+class TestFieldScratch:
+    """The block scratch each thread keeps between interaction_field calls."""
+
+    SIZES = [(400, 2), (50, 1), (900, 2), (400, 2)]
+
+    @staticmethod
+    def _fields(sizes):
+        k = FIELD_KERNELS["power_law_1"]
+        return [
+            interaction_field(k, e.x, e.v, e.w)
+            for e in (_weighted_cloud(n, d, seed=n + d) for n, d in sizes)
+        ]
+
+    def test_calls_that_alternate_in_size_match_each_call_alone(self):
+        alternating = _in_fresh_thread(lambda: self._fields(self.SIZES))
+        backwards = _in_fresh_thread(lambda: self._fields(self.SIZES[::-1]))[::-1]
+        for i, size in enumerate(self.SIZES):
+            [alone] = _in_fresh_thread(lambda: self._fields([size]))
+            assert alternating[i].tobytes() == alone.tobytes(), size
+            assert backwards[i].tobytes() == alone.tobytes(), size
+
+    def test_threads_at_once_match_the_serial_fields(self):
+        # more threads than cores, switching often, on clouds of two sizes
+        sizes = [(400, 2), (300, 1), (400, 2), (300, 1)]
+        serial = _in_fresh_thread(lambda: self._fields(sizes))
+        start = threading.Barrier(len(sizes))
+        got = {}
+
+        def work(i):
+            start.wait()
+            got[i] = [self._fields([sizes[i]])[0] for _ in range(25)]
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(sizes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        for i, size in enumerate(sizes):
+            assert all(f.tobytes() == serial[i].tobytes() for f in got[i]), size
+
+    def test_writing_into_a_returned_field_leaves_the_next_call_alone(self):
+        e = _weighted_cloud(400, 2, seed=3)
+        k = FIELD_KERNELS["power_law_1"]
+        first = interaction_field(k, e.x, e.v, e.w)
+        expected = first.copy()
+        first[...] = np.nan
+        assert interaction_field(k, e.x, e.v, e.w).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [400, 900])
+    def test_a_warm_call_allocates_less_than_one_scratch(self, n):
+        e = _weighted_cloud(n, 2, seed=n)
+        k = FIELD_KERNELS["power_law_1"]
+        interaction_field(k, e.x, e.v, e.w)
+        tracemalloc.start()
+        try:
+            interaction_field(k, e.x, e.v, e.w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * min(64, n) * n * 8
 
 
 def _outer_difference_field(kernel, x, v, w):

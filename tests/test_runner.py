@@ -248,6 +248,32 @@ class TestValidateConfig:
         assert len(built) == 1
 
 
+# the sha256 of each artifact these syntheses wrote before their flights
+# recorded straight into the run's log; VOLUME_SMALL's pieces take both signs
+PINNED_ARTIFACTS = {
+    "mass_2d": (MASS_2D_SMALL, {
+        "trajectory.csv": "2f6b4410a3d4d357b1b42bf5b533089cf1edfd388e311af462a07fb9c7c1294e",
+        "summary.json": "0cca7bcbc13fd639554da0e246a18e683f5e7397e6126e5d103c06307116632b",
+        "plan.json": "c06c5e0f50b2cf11c999a9a552f873e86f1743f02c92684fecfa65326b07f4d5",
+    }),
+    "volume": (VOLUME_SMALL, {
+        "trajectory.csv": "73194e4ef7ee79c1efb4196c5524f0ab7ccd3b2692b5d4dcd55132b2020e1402",
+        "summary.json": "511d20aaf9471946be3be8b21573fd15fc1d9d9e6cd84eca273e4761fd13baf3",
+        "plan.json": "0e266a7992b5d8d5a40a7af505108d5c3101affa0960d539881f521fe3d785d9",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_a_synthesis_writes_its_pinned_artifacts(tmp_path, name):
+    doc, pinned = PINNED_ARTIFACTS[name]
+    _, _, plan = run_scenario(_scenario(dict(doc, out=str(tmp_path))))
+    if name == "volume":
+        assert {p.sign for p in plan.pieces} == {1.0, -1.0}
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pinned}
+    assert got == pinned
+
+
 class TestRunScenario:
     def test_mode_none_in_region(self, tmp_path):
         s = _scenario(dict(MINIMAL, out=str(tmp_path)))
@@ -689,7 +715,7 @@ class TestCli:
         assert progress and all(line.startswith("synthesis step ") for line in progress)
         assert re.fullmatch(
             r"scenario done in \d+\.\d\d s wall: \d+ samples, \d+ pieces, "
-            r"peak RSS \d+\.\d MB", cost
+            r"peak RSS \d+\.\d MB, \d+ minor page faults", cost
         ), cost
         plan = json.loads((art / "plan.json").read_text())
         rows = (art / "trajectory.csv").read_text().count("\n") - 1
