@@ -337,22 +337,21 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
     keep the velocity interval on the axis inside [v_lo, v_lo + W0] and |u|
     at most 1 at every sample; then the budget runs its own audits.  Returns
     (ensemble after the step, StepRecord, plan fragment, the step's rows).
-    By default each piece takes ``budget.rk4_per_piece`` RK4 steps, one for
-    a mass piece: it lasts at most beta0/(2 c n) while the force ramps over
-    beta0, so dt/beta0 <= 1/(2 c n) <= 1/4, as c ceil(2/c) >= 2; and the
-    contraction audit rejects the step if discretization ever eats the
-    analytic margin.
+    Each piece flies in RK4 steps of min(dt_max, slot/``budget.rk4_per_piece``),
+    so in at least ``rk4_per_piece`` of them, one for a mass piece: it lasts
+    at most beta0/(2 c n) while the force ramps over beta0, so dt/beta0 <=
+    1/(2 c n) <= 1/4, as c ceil(2/c) >= 2; and the contraction audit rejects
+    the step if discretization ever eats the analytic margin.
 
     The step records into ``log``, the run's log (a new one when omitted),
     numbering its pieces after ``piece_offset`` others (see
     :func:`dynamics.integrate`).  A log whose last row is at t_start holds
-    e's sample: the step reads its box there and does not record it again,
-    and the step's audits take that row, with e audited against the step's
-    first piece, as its first sample.
+    e's sample, and must end in e (ValueError otherwise): the step reads its
+    box there and does not record it again, and the step's audits take that
+    row, with e audited against the step's first piece, as its first sample.
     """
-    log = Trajectory.empty(e) if log is None else log
     # e's row, when the log holds it: the step's first sample
-    last = log.columns if log.continues(t_start) else None
+    last = log.columns if log is not None and log.continues(t_start, e) else None
     if last is None:
         box = support_box(e)
     else:
@@ -362,9 +361,9 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
     if not slot > _JOIN_TOL:
         raise DegenerateMeasureError(
             f"step pieces of {slot:.3e} fall in a plan's {_JOIN_TOL:g} tolerance")
-    dt = dt_max if dt_max is not None else slot / budget.rk4_per_piece
+    dt = min(math.inf if dt_max is None else dt_max, slot / budget.rk4_per_piece)
     frag = ControlPlan(pieces=tuple(budget.pieces(params, t_start, box, dt)))
-    flight = integrate(kernel, e, frag, horizon=params.T0, dt_max=dt, t0=t_start, log=log,
+    flight = integrate(kernel, e, frag, horizon=params.T0, t0=t_start, log=log,
                        piece_offset=piece_offset)
     cols = flight.columns
     # the last sample is the final state

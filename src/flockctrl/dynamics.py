@@ -131,6 +131,8 @@ class ControlPiece:
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise ValueError("piece must have positive duration")
+        if self.dt is not None and not self.dt > 0.0:  # flight_segments divides by it
+            raise ValueError(f"piece dt must be positive, not {self.dt!r}")
         if self.sign not in (1.0, -1.0):
             raise ValueError(f"piece sign must be 1 or -1, not {self.sign!r}")
         if self.kind not in BANDS:
@@ -320,11 +322,6 @@ def _audit(x, v, w, t, piece) -> Audit:
     return Audit(u, float(w[inside].sum()), piece.omega_volume(), float(np.abs(u).max()))
 
 
-def _repeats(t: np.ndarray, later: np.ndarray) -> int:
-    """1 if the sample times ``later`` start with a repeat of the last of ``t``, else 0."""
-    return int(t.size > 0 and later.size > 0 and abs(later[0] - t[-1]) <= _SAMPLE_TOL)
-
-
 class SampleRows(Sequence):
     """Read-only sequence over SampleColumns; item i is row i as a TrajectorySample."""
 
@@ -359,11 +356,10 @@ _CSV_CHUNK = 1024  # trajectory.csv rows converted to text at a time
 class Trajectory:
     """The append-only log of a run's samples, and the state it ends in.
 
-    ``record`` appends a raw state's sample, into arrays that double when
-    full; every flight of a run records into the run's one log (see
-    :func:`integrate`), so no run copies its rows.  ``append`` copies in a
-    later trajectory's rows.  Rows once written never change, and each comes
-    after the last.
+    Rows enter only through ``record``, which appends a raw state's sample,
+    into arrays that double when full; every flight of a run records into
+    the run's one log (see :func:`integrate`), so no run copies its rows.
+    Rows once written never change, and each comes after the last.
     ``columns`` (:class:`SampleColumns`), read-only views of the rows so far,
     is what the audits and the CSV read.  ``samples`` shows the same values
     as a read-only sequence of :class:`TrajectorySample` rows, built on access.
@@ -379,11 +375,9 @@ class Trajectory:
         self._cols, self._n, self.final = columns, columns.t.shape[0], final
 
     @classmethod
-    def empty(cls, start: Ensemble, rows: int = 16) -> "Trajectory":
-        """A log of no rows yet that ends in ``start``, with room for ``rows``."""
-        log = cls(_empty_columns(start.d, 0), start)
-        log._reserve(rows)
-        return log
+    def empty(cls, start: Ensemble) -> "Trajectory":
+        """A log of no rows yet that ends in ``start``."""
+        return cls(_empty_columns(start.d, 0), start)
 
     @property
     def columns(self) -> SampleColumns:
@@ -427,48 +421,32 @@ class Trajectory:
         self._n = i + 1
         return audit.u
 
-    def continues(self, t: float) -> bool:
-        """Whether the last row is at time t: a flight from t starts from its state."""
-        return self._n > 0 and abs(self._cols.t[self._n - 1] - t) <= _SAMPLE_TOL
+    def continues(self, t: float, start: Ensemble) -> bool:
+        """Whether the last row is at time t: a flight from ``start`` at t
+        starts from its state.  Raises ValueError when the log ends there in
+        another state: not ``start`` itself, nor bit-equal to it in x and v."""
+        if not (self._n > 0 and abs(self._cols.t[self._n - 1] - t) <= _SAMPLE_TOL):
+            return False
+        e = self.final
+        if start is not e and any(p.shape != q.shape or p.tobytes() != q.tobytes()
+                                  for p, q in ((start.x, e.x), (start.v, e.v))):
+            raise ValueError(f"the log ends at t = {t!r} in another state than the flight's")
+        return True
 
     def _since(self, row: int) -> "Trajectory":
         """Rows ``row`` on, as a trajectory of views that ends where this one does."""
-        rows = object.__new__(Trajectory)
-        rows._cols = SampleColumns(*(col[row : self._n] for col in self._cols))
-        rows._n, rows.final = self._n - row, self.final
-        return rows
-
-    def append(self, traj: "Trajectory", piece_offset: int = 0) -> None:
-        """Append a later trajectory's rows, dropping a first one that repeats the
-        last, and end in its final state.
-
-        ``piece_offset`` is added to the rows' piece indices, but not to -1:
-        the pieces ``traj`` flew come after that many others in the plan.
-        """
-        src = traj.columns
-        skip = _repeats(self._cols.t[: self._n], src.t)
-        rows = src.t.size - skip
-        if rows and self._n and not src.t[skip] > self._cols.t[self._n - 1]:
-            raise ValueError("sample times must be strictly increasing")
-        c = self._reserve(rows)
-        for dst, col in zip(c, src):
-            dst[self._n : self._n + rows] = col[skip:]
-        if piece_offset:
-            piece = c.piece[self._n : self._n + rows]
-            piece[piece >= 0] += piece_offset
-        self._n += rows
-        self.final = traj.final
+        return Trajectory(SampleColumns(*(col[row : self._n] for col in self._cols)), self.final)
 
     def extend(self, other: "Trajectory") -> "Trajectory":
-        """Concatenate a later trajectory, dropping its duplicated first sample.
+        """Concatenate ``other``, a later flight from this one's final state,
+        dropping its first sample when it repeats the last.
 
         The joined columns are allocated at exactly the joined row count.
         """
-        t, later = self.columns.t, other.columns.t
-        joined = Trajectory.empty(self.final, t.size + later.size - _repeats(t, later))
-        joined.append(self)
-        joined.append(other)
-        return joined
+        later = other.columns
+        skip = int(later.t.size > 0 and self.continues(later.t[0], self.final))
+        columns = (np.concatenate([a, b[skip:]]) for a, b in zip(self.columns, later))
+        return Trajectory(SampleColumns(*columns), other.final)
 
     def to_csv(self, path) -> None:
         c = self.columns
@@ -610,10 +588,11 @@ def integrate(
     the flight's final state.  Each row's piece is its plan index plus
     ``piece_offset`` (-1 under no piece): the pieces of ``plan`` come after
     that many others in the run's plan.  A log whose last row is at t0 holds
-    e0's sample already: the flight does not record it again, and audits
-    that state against the piece it starts under only.  The audit's force at
-    a sample is the first stage of the next RK4 step when that step stays in
-    the same piece, so it is evaluated once.
+    e0's sample already, and must end in e0 (ValueError otherwise): the
+    flight does not record it again, and audits that state against the
+    piece it starts under only.  The audit's force at a sample is the first
+    stage of the next RK4 step when that step stays in the same piece, so it
+    is evaluated once.
 
     Returns the rows the flight recorded, as a trajectory of views into
     ``log`` that ends in the final state.  When the flight continued the
@@ -634,7 +613,7 @@ def integrate(
     piece_idx = plan.piece_index_at(t0)
     piece = plan.pieces[piece_idx] if piece_idx >= 0 else None
     # u is the force of piece piece_idx at the current state, when an audit has it
-    if log.continues(t0):  # e0's row is the log's: audit e0 against this flight only
+    if log.continues(t0, e0):  # e0's row is the log's: audit e0 against this flight only
         opening = _audit(x, v, w, t0, piece)
         u = opening.u
     else:

@@ -1,6 +1,5 @@
 """Integrator, control plans, and trajectory diagnostics."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -11,12 +10,14 @@ from flockctrl import (
     ControlPiece,
     ControlPlan,
     Ensemble,
+    MassBudget,
     PowerLawKernel,
     SampleColumns,
     Trajectory,
     TrajectorySample,
     decay_rate_estimate,
     flocking_metrics,
+    fundamental_step,
     integrate,
     interaction_field,
     support_box,
@@ -62,6 +63,12 @@ class TestControlPiece:
     def test_positive_duration_required(self):
         with pytest.raises(ValueError):
             _mass_piece(1.0, 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+    def test_a_step_size_that_is_not_positive_is_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            ControlPiece(0.0, 1.0, "space_band", axis=0, t_ref=0.0, x_shift=0.0, v_shift=0.0,
+                         params={"eps": 0.25, "y0": 1.0, "w0": 0.5}, dt=dt)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -474,23 +481,6 @@ class TestSampleColumns:
         for name, col in zip(joined.columns._fields, joined.columns):
             assert col.shape[0] == col.base.shape[0] == rows, name
 
-    def test_append_joins_in_place_and_offsets_the_pieces(self):
-        k = PowerLawKernel(1.0, 1.0)
-        e, plan, horizon = _column_case("space_band")
-        a = integrate(k, e, ControlPlan(), horizon, dt_max=0.01)
-        later = ControlPlan(pieces=(dataclasses.replace(plan.pieces[0], t_start=0.2, t_end=0.33),))
-        b = integrate(k, a.final, later, 0.2, dt_max=0.01, t0=a.columns.t[-1])
-        assert set(b.columns.piece.tolist()) == {0, -1}
-        expected = a.extend(b).columns
-        rows = a.columns.t.size
-        a.append(b, piece_offset=2)
-        for name, col in zip(expected._fields, a.columns):
-            if name != "piece":
-                assert _bits(col) == _bits(getattr(expected, name)), name
-        piece = a.columns.piece
-        assert piece[rows:].tolist() == [-1 if p < 0 else p + 2 for p in b.columns.piece[1:]]
-        assert a.final is b.final
-
     def test_a_row_not_after_the_last_is_refused_where_it_enters(self):
         e, plan, horizon = _column_case("empty")
         log = Trajectory.empty(e)
@@ -498,13 +488,40 @@ class TestSampleColumns:
         for t in (1.0, 0.5):
             with pytest.raises(ValueError, match="strictly increasing"):
                 log.record(t, e.x, e.v, e.w, None, -1)
+        assert log.columns.t.tolist() == [1.0]
+
+    def test_extend_drops_a_repeat_and_refuses_a_row_not_after_the_last(self):
+        first = _synthetic_traj([0.0, 1.0], [1.0, 1.0])
         # a first row within the tolerance of the last is a repeat and dropped;
         # one before it, or a row after the repeat that is not later, is refused
         for times in ([0.5, 2.0], [1.0 - 1e-13, 1.0]):
             with pytest.raises(ValueError, match="strictly increasing"):
-                log.append(_synthetic_traj(times, [1.0, 1.0]))
-        log.append(_synthetic_traj([1.0, 2.0], [1.0, 1.0]))
-        assert log.columns.t.tolist() == [1.0, 2.0]
+                first.extend(_synthetic_traj(times, [1.0, 1.0]))
+        for times in ([1.0, 2.0], [1.0 + 1e-13, 2.0]):
+            assert first.extend(_synthetic_traj(times, [1.0, 1.0])).columns.t.tolist() == [
+                0.0, 1.0, 2.0]
+        assert first.extend(_synthetic_traj([], [])).columns.t.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("entry", ["integrate", "fundamental_step"])
+    def test_a_log_that_ends_at_the_start_in_another_state_is_refused(self, entry):
+        k = PowerLawKernel(1.0, 1.0)
+        e = uniform_box_ensemble(20, 0.0, 1.0, 0.0, 1.0, seed=12)
+        other = uniform_box_ensemble(20, 0.0, 1.0, 2.0, 3.0, seed=13)
+        log = Trajectory.empty(e)
+        log.record(0.0, e.x, e.v, e.w, None, -1)
+        rows = log.columns.t.size
+        fly = {
+            "integrate": lambda start: integrate(k, start, ControlPlan(), 0.05, dt_max=0.01,
+                                                 log=log),
+            "fundamental_step": lambda start: fundamental_step(k, start, MassBudget(0.5),
+                                                               log=log),
+        }[entry]
+        with pytest.raises(ValueError, match="another state"):
+            fly(other)
+        assert log.columns.t.size == rows and log.final is e
+        # a bit-equal copy of the state the log ends in is that state
+        fly(Ensemble(x=e.x.copy(), v=e.v.copy(), w=e.w))
+        assert log.columns.t.size > rows
 
 
 class TestFlightCap:

@@ -248,9 +248,15 @@ class TestValidateConfig:
         assert len(built) == 1
 
 
-# the sha256 of each artifact these syntheses wrote before their flights
-# recorded straight into the run's log; VOLUME_SMALL's pieces take both signs
+# the sha256 of each artifact these runs wrote before their flights recorded
+# straight into the run's log (the free flight's: before the log's rows came
+# in only through Trajectory.record); VOLUME_SMALL's pieces take both signs
 PINNED_ARTIFACTS = {
+    "free_flight": (MINIMAL, {
+        "trajectory.csv": "0003e3d43d82cce97af6ffad27fd7fc94c6d0d781174203708dbb62abaac4301",
+        "summary.json": "7a8b3a5170e0381e6e08d0b9c410ffcb4e9ff54e8d5d67d0af518bbeb345937f",
+        "plan.json": "8407dbec99cade0f4e3604ee7c54ebfed58a86598abf5f59a3f8da8ccb58942b",
+    }),
     "mass_2d": (MASS_2D_SMALL, {
         "trajectory.csv": "2f6b4410a3d4d357b1b42bf5b533089cf1edfd388e311af462a07fb9c7c1294e",
         "summary.json": "0cca7bcbc13fd639554da0e246a18e683f5e7397e6126e5d103c06307116632b",
@@ -272,6 +278,16 @@ def test_a_synthesis_writes_its_pinned_artifacts(tmp_path, name):
         assert {p.sign for p in plan.pieces} == {1.0, -1.0}
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in pinned}
     assert got == pinned
+
+
+@pytest.mark.parametrize("doc", [MASS_SMALL, VOLUME_SMALL], ids=["mass", "volume"])
+def test_a_dt_max_above_every_piece_step_leaves_the_plan_alone(tmp_path, doc):
+    plans = []
+    for extra in ({}, {"dt_max": 10.0}):
+        out = tmp_path / str(len(plans))
+        run_scenario(_scenario(dict(doc, out=str(out), **extra)))
+        plans.append((out / "plan.json").read_bytes())
+    assert plans[0] == plans[1]
 
 
 class TestRunScenario:
