@@ -94,7 +94,6 @@ class StepRecord:
     t_end: float
     W_before: np.ndarray
     W_after: np.ndarray
-    Y_before: np.ndarray
     Y_after: np.ndarray
     max_u_sup: float
     max_mass_in_omega: float
@@ -397,7 +396,6 @@ def fundamental_step(kernel: Kernel, e: Ensemble, budget, dt_max: float | None =
         t_end=frag.t_end,
         W_before=box.w.copy(),
         W_after=W_after,
-        Y_before=box.y.copy(),
         Y_after=Y_after,
         max_u_sup=max_u_sup,
         max_mass_in_omega=max_mass,

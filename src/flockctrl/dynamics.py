@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -102,6 +103,23 @@ class SpaceBand:
 BANDS = {"mass_band": MassBand, "space_band": SpaceBand}
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number that is a finite double; JSON's NaN and Infinity, the
+    booleans and an integer past the largest double are not."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return _is_integer(x) and abs(x) <= sys.float_info.max
+
+
+# the keys a plan document's piece entry needs, and those of them that are numbers
+_PIECE_NUMBERS = ("t_start", "t_end", "t_ref", "x_shift", "v_shift")
+_PIECE_KEYS = {*_PIECE_NUMBERS, "kind", "axis", "params"}
+
+
 @dataclass(frozen=True)
 class ControlPiece:
     """One time slice of the control schedule.
@@ -132,11 +150,11 @@ class ControlPiece:
         if not self.t_start < self.t_end:
             raise ValueError("piece must have positive duration")
         if self.dt is not None and not self.dt > 0.0:  # flight_segments divides by it
-            raise ValueError(f"piece dt must be positive, not {self.dt!r}")
+            raise ValueError(f"dt must be positive, not {self.dt!r}")
+        if not (isinstance(self.kind, str) and self.kind in BANDS):
+            raise ValueError(f"kind must be one of {sorted(BANDS)}, not {self.kind!r}")
         if self.sign not in (1.0, -1.0):
-            raise ValueError(f"piece sign must be 1 or -1, not {self.sign!r}")
-        if self.kind not in BANDS:
-            raise ValueError(f"unknown control piece kind: {self.kind!r}")
+            raise ValueError(f"sign must be 1 or -1, not {self.sign!r}")
         # resolved once here, so the per-call methods pay no lookup by kind
         object.__setattr__(self, "_band", BANDS[self.kind])
 
@@ -192,19 +210,42 @@ class ControlPiece:
         return doc
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ControlPiece":
-        return cls(
-            t_start=float(d["t_start"]),
-            t_end=float(d["t_end"]),
-            kind=str(d["kind"]),
-            axis=int(d["axis"]),
-            t_ref=float(d["t_ref"]),
-            x_shift=float(d["x_shift"]),
-            v_shift=float(d["v_shift"]),
-            params={k: float(val) for k, val in d["params"].items()},
-            dt=None if d.get("dt") is None else float(d["dt"]),
-            sign=float(d.get("sign", 1.0)),
-        )
+    def from_dict(cls, d, dimension: int) -> "ControlPiece":
+        """The piece a plan document's entry ``d`` describes, on a measure of
+        ``dimension`` axes; ValueError at its first flaw.
+
+        ``d`` needs finite numbers for its times and frame, a duration longer
+        than a plan's join tolerance, an integer axis below ``dimension``, and
+        exactly its kind's parameters as finite numbers, positive where the
+        kind says so; ``dt`` may be null.  Only a ``space_band`` entry may
+        carry ``sign`` (missing means 1, as in plans written before mirrored
+        pieces).  The rules of every piece, however built, are
+        ``__post_init__``'s: they are checked after the axis, and before the
+        parameters, which the kind names.
+        """
+        if not isinstance(d, dict) or not _PIECE_KEYS <= set(d):
+            raise ValueError(f"must be an object with keys {sorted(_PIECE_KEYS)}")
+        if not all(_is_number(d[k]) for k in _PIECE_NUMBERS):
+            raise ValueError(f"{', '.join(_PIECE_NUMBERS)} must be finite numbers")
+        if not d["t_end"] - d["t_start"] > _JOIN_TOL:
+            raise ValueError(f"must last longer than a plan's {_JOIN_TOL:g} join tolerance")
+        dt, sign = d.get("dt"), d.get("sign", 1.0)
+        if not (dt is None or _is_number(dt)):
+            raise ValueError("dt must be null or a positive finite number")
+        if not (_is_integer(d["axis"]) and 0 <= d["axis"] < dimension):
+            raise ValueError(f"axis must be an integer in [0, {dimension})")
+        piece = cls(**{k: float(d[k]) for k in _PIECE_NUMBERS}, kind=d["kind"], axis=d["axis"],
+                    dt=dt if dt is None else float(dt), sign=sign)
+        # __post_init__ takes True for 1: a sign's JSON type is checked here, with its kind
+        if "sign" in d and not (piece.kind == "space_band" and _is_number(sign)):
+            raise ValueError("sign must be 1 or -1, and only a space_band piece carries one")
+        band, params = piece._band, d["params"]
+        if not (isinstance(params, dict) and set(params) == set(band.params)
+                and all(map(_is_number, params.values()))):
+            raise ValueError(f"params must be finite numbers named {sorted(band.params)}")
+        if not all(params[k] > 0 for k in band.positive):
+            raise ValueError(f"params {', '.join(band.positive)} must be positive")
+        return replace(piece, params={k: float(x) for k, x in params.items()}, sign=float(sign))
 
 
 # how far apart a plan's consecutive pieces may start and end: a plan cannot
@@ -251,8 +292,17 @@ class ControlPlan:
         return {"pieces": [p.to_dict() for p in self.pieces]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ControlPlan":
-        return cls(pieces=tuple(ControlPiece.from_dict(p) for p in d["pieces"]))
+    def from_dict(cls, d, dimension: int) -> "ControlPlan":
+        """The plan of a plan document's ``{"pieces": [...]}`` object, on a
+        measure of ``dimension`` axes, read by :meth:`ControlPiece.from_dict`;
+        ValueError("plan piece i: ...") at the first flawed piece."""
+        pieces = []
+        for i, p in enumerate(d["pieces"]):
+            try:
+                pieces.append(ControlPiece.from_dict(p, dimension))
+            except ValueError as exc:
+                raise ValueError(f"plan piece {i}: {exc}") from None
+        return cls(pieces=tuple(pieces))
 
 
 @dataclass
@@ -392,10 +442,11 @@ class Trajectory:
     def samples(self) -> SampleRows:
         return SampleRows(self.columns)
 
-    def _reserve(self, rows: int) -> SampleColumns:
+    def _reserve(self) -> SampleColumns:
+        """The columns, with room for one more row."""
         cap = self._cols.t.shape[0]
-        if self._n + rows > cap:
-            grown = _empty_columns(self._cols.Y.shape[1], max(2 * cap, self._n + rows))
+        if self._n == cap:
+            grown = _empty_columns(self._cols.Y.shape[1], max(2 * cap, 1))
             for new, old in zip(grown, self._cols):
                 new[: self._n] = old[: self._n]
             self._cols = grown
@@ -410,7 +461,7 @@ class Trajectory:
         """
         if self._n and not t > self._cols.t[self._n - 1]:
             raise ValueError("sample times must be strictly increasing")
-        c = self._reserve(1)
+        c = self._reserve()
         i = self._n
         c.t[i] = t
         c.Y[i], c.W[i], c.x_shift[i], c.v_shift[i] = support_box_of(x, v)

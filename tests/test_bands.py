@@ -147,5 +147,5 @@ def test_only_a_mirrored_piece_writes_its_sign():
                                 v_shift=0.0, params=p, sign=sign) for sign in (1.0, -1.0))
     assert "sign" not in top.to_dict()
     assert bottom.to_dict()["sign"] == -1.0
-    assert ControlPiece.from_dict(top.to_dict()) == top
-    assert ControlPiece.from_dict(bottom.to_dict()) == bottom
+    assert ControlPiece.from_dict(top.to_dict(), 1) == top
+    assert ControlPiece.from_dict(bottom.to_dict(), 1) == bottom

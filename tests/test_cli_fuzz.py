@@ -264,6 +264,16 @@ def _run(scenario, replay):
 # a replayed plan that ends before t = 0, once flown over a negative horizon
 @example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
     "pieces": [dict(_PIECE_DOC, t_start=-2.0, t_end=-1.0, t_ref=-2.0)]}}))
+# pieces that ControlPlan.from_dict once read, to fail in mid-flight or to fly:
+# a boolean axis, no params, a time that is a string and a zero eps
+@example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
+    "pieces": [dict(_PIECE_DOC, axis=True)]}}))
+@example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
+    "pieces": [dict(_PIECE_DOC, params={})]}}))
+@example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
+    "pieces": [dict(_PIECE_DOC, t_end="0.5")]}}))
+@example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
+    "pieces": [dict(_PIECE_DOC, params=dict(_PIECE_DOC["params"], eps=0))]}}))
 def test_cli_exits_0_2_or_3_without_a_traceback(scenario, replay):
     status, err = _run(scenario, replay)
     event(f"exit {status}")

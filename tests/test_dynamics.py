@@ -113,7 +113,7 @@ class TestControlPiece:
 
     def test_round_trip_serialization(self):
         piece = _mass_piece(1.5, 2.5)
-        again = ControlPiece.from_dict(piece.to_dict())
+        again = ControlPiece.from_dict(piece.to_dict(), 1)
         assert again == piece
 
     def test_omega_volume(self):
@@ -156,7 +156,7 @@ class TestControlPlan:
 
     def test_round_trip(self):
         plan = ControlPlan(pieces=(_mass_piece(0.0, 1.0),))
-        assert ControlPlan.from_dict(plan.to_dict()) == plan
+        assert ControlPlan.from_dict(plan.to_dict(), 1) == plan
 
 
 class TestStepRhs:

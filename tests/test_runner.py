@@ -126,6 +126,42 @@ def _plan_doc(drop=(), **changes):
     return {"schema_version": 1, "dimension": 1, "plan": {"pieces": [piece]}}
 
 
+# plan documents whose one piece has one flaw
+BAD_PIECES = {
+    "no_t_end": _plan_doc(drop=("t_end",)),
+    "nan_t_start": _plan_doc(t_start=float("nan")),
+    "string_x_shift": _plan_doc(x_shift="0.0"),
+    "unknown_kind": _plan_doc(kind="mystery"),
+    "zero_duration": _plan_doc(t_end=0.0),
+    "axis_past_dimension": _plan_doc(axis=1),
+    "float_axis": _plan_doc(axis=0.0),
+    "negative_dt": _plan_doc(dt=-0.1),
+    "wrong_params": _plan_doc(params={"eps": 0.1, "y0": 1.0, "w0": 1.0}),
+    "infinite_param": _plan_doc(params=dict(GOOD_PIECE["params"], beta=float("inf"))),
+    "zero_eps_and_beta": _plan_doc(params=dict(GOOD_PIECE["params"], eps=0.0, beta=0.0)),
+    "negative_space_eps": _plan_doc(kind="space_band",
+                                    params={"eps": -0.1, "y0": 1.0, "w0": 1.0}),
+}
+# pieces that ControlPlan.from_dict once read: a boolean axis failed in
+# mid-flight (IndexError), and so did no params (KeyError); a time that is a
+# string was flown, and so was a zero eps, dividing by it
+LAX_PIECES = {
+    "boolean_axis": _plan_doc(axis=True),
+    "no_params": _plan_doc(params={}),
+    "string_t_end": _plan_doc(t_end="0.5"),
+    "zero_eps": _plan_doc(params=dict(GOOD_PIECE["params"], eps=0)),
+}
+# (kind, sign) of a piece that carries a sign it may not
+BAD_SIGNS = [("mass_band", 1.0), ("mass_band", -1.0), ("space_band", 0.5), ("space_band", 0),
+             ("space_band", -2), ("space_band", True), ("space_band", "-1"),
+             ("space_band", None), ("space_band", float("nan"))]
+
+
+def _signed_plan_doc(kind, sign):
+    params = GOOD_PIECE["params"] if kind == "mass_band" else {"eps": 0.1, "y0": 1.0, "w0": 1.0}
+    return _plan_doc(kind=kind, params=params, sign=sign)
+
+
 def _scenario(doc):
     return validate_config(json.dumps(doc))
 
@@ -799,6 +835,21 @@ class TestCli:
         assert cli_main(["--config", cfg]) == 2
         assert "eta must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("replay", [False, True], ids=["eta", "x_shift"])
+    def test_exit_two_on_an_integer_past_the_largest_double(self, tmp_path, capsys, replay):
+        # once an OverflowError from math.isfinite
+        big = 10**400
+        doc = MASS_SMALL if replay else dict(MASS_SMALL, eta=big)
+        argv = ["--config", self._write_config(tmp_path, doc)]
+        if replay:
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(_plan_doc(x_shift=big)))
+            argv += ["--replay", str(plan)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("must be finite numbers" if replay else "eta must be a positive finite") in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "kernel, initial",
         [
@@ -931,25 +982,9 @@ class TestCli:
             "{not json",
             json.dumps([1, 2]),
             json.dumps({"schema_version": 1, "dimension": 1}),
-            json.dumps(_plan_doc(drop=("t_end",))),
-            json.dumps(_plan_doc(t_start=float("nan"))),
-            json.dumps(_plan_doc(x_shift="0.0")),
-            json.dumps(_plan_doc(kind="mystery")),
-            json.dumps(_plan_doc(t_end=0.0)),
-            json.dumps(_plan_doc(axis=1)),
-            json.dumps(_plan_doc(axis=0.0)),
-            json.dumps(_plan_doc(dt=-0.1)),
-            json.dumps(_plan_doc(params={"eps": 0.1, "y0": 1.0, "w0": 1.0})),
-            json.dumps(_plan_doc(params=dict(GOOD_PIECE["params"], beta=float("inf")))),
-            json.dumps(_plan_doc(params=dict(GOOD_PIECE["params"], eps=0.0, beta=0.0))),
-            json.dumps(_plan_doc(kind="space_band", params={"eps": -0.1, "y0": 1.0, "w0": 1.0})),
+            *map(json.dumps, BAD_PIECES.values()),
         ],
-        ids=[
-            "missing_file", "bad_json", "not_an_object", "no_plan", "no_t_end",
-            "nan_t_start", "string_x_shift", "unknown_kind", "zero_duration",
-            "axis_past_dimension", "float_axis", "negative_dt", "wrong_params",
-            "infinite_param", "zero_eps_and_beta", "negative_space_eps",
-        ],
+        ids=["missing_file", "bad_json", "not_an_object", "no_plan", *BAD_PIECES],
     )
     def test_exit_two_on_bad_replay_plan(self, tmp_path, capsys, plan_text):
         cfg = self._write_config(tmp_path, MASS_SMALL)
@@ -1135,20 +1170,39 @@ class TestCli:
         csv = (replayed / "trajectory.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == PLAN_TWO_RK4_REPLAY_SHA256
 
-    @pytest.mark.parametrize(
-        "kind, sign",
-        [("mass_band", 1.0), ("mass_band", -1.0), ("space_band", 0.5), ("space_band", 0),
-         ("space_band", -2), ("space_band", True), ("space_band", "-1"), ("space_band", None),
-         ("space_band", float("nan"))],
-    )
+    @pytest.mark.parametrize("kind, sign", BAD_SIGNS)
     def test_exit_two_on_a_sign_off_a_space_band_or_not_one(self, tmp_path, capsys, kind, sign):
-        params = GOOD_PIECE["params"] if kind == "mass_band" else {"eps": 0.1, "y0": 1.0, "w0": 1.0}
         plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps(_plan_doc(kind=kind, params=params, sign=sign)))
+        plan.write_text(json.dumps(_signed_plan_doc(kind, sign)))
         cfg = self._write_config(tmp_path, MASS_SMALL)
         assert cli_main(["--config", cfg, "--replay", str(plan)]) == 2
         err = capsys.readouterr().err
         assert "plan piece 0: sign must be 1 or -1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            *BAD_PIECES.values(),
+            *LAX_PIECES.values(),
+            *(_signed_plan_doc(kind, sign) for kind, sign in BAD_SIGNS),
+            _plan_doc(kind="space_band", t_end=5e-13, dt=None,
+                      params={"eps": 0.2, "y0": 1.0, "w0": 0.05}),
+            {"schema_version": 1, "dimension": 1, "plan": {"pieces": [
+                GOOD_PIECE, dict(GOOD_PIECE, t_start=0.2, t_end=0.3)]}},
+        ],
+        ids=[*BAD_PIECES, *LAX_PIECES, *(f"sign_{k}_{s}" for k, s in BAD_SIGNS),
+             "shorter_than_the_join_tolerance", "gap"],
+    )
+    def test_the_cli_prints_the_plan_readers_message(self, tmp_path, capsys, monkeypatch, doc):
+        with pytest.raises(ValueError) as exc_info:
+            ControlPlan.from_dict(doc["plan"], doc["dimension"])
+        steps = _count_rk4_steps(monkeypatch)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        assert cli_main(["--config", self._write_config(tmp_path, MASS_SMALL),
+                         "--replay", str(plan)]) == 2
+        assert capsys.readouterr().err == f"config error: {exc_info.value}\n"
+        assert steps == []
 
     @pytest.mark.parametrize("sign", [1, -1, 1.0, -1.0])
     def test_a_space_band_sign_of_one_or_minus_one_is_read(self, sign):
