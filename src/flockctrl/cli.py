@@ -16,7 +16,8 @@ import os
 import sys
 
 from .runner import (
-    ConfigError, StrategyFailure, dump_json, replay_plan, run_scenario, validate_config,
+    _MODES, _TOP_KEYS, ConfigError, StrategyFailure, dump_json, replay_plan, run_scenario,
+    validate_config,
 )
 
 
@@ -26,11 +27,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mean-field flocking simulator with sparse control synthesis",
     )
     p.add_argument("--config", required=True, help="path to the JSON scenario")
-    p.add_argument("--mode", choices=["mass", "volume", "none"], help="constraint mode")
+    p.add_argument("--mode", choices=_MODES, help="constraint mode")
     p.add_argument("--c", type=float, help="mass or volume budget")
     p.add_argument("--particles", type=int, help="particle count (uniform_box initial)")
     p.add_argument("--seed", type=int, help="sampler seed (uniform_box initial)")
-    p.add_argument("--dim", type=int, help="spatial dimension")
+    p.add_argument("--dim", type=int, dest="dimension", help="spatial dimension")
     p.add_argument("--out", help="output directory for the artifacts")
     p.add_argument("--dt-max", type=float, help="integrator step-size cap")
     p.add_argument("--post-horizon", type=float, help="free-flight horizon after control")
@@ -41,24 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(doc: dict, args) -> dict:
-    if args.mode is not None:
-        doc["mode"] = args.mode
-    if args.c is not None:
-        doc["c"] = args.c
-    if args.dim is not None:
-        doc["dimension"] = args.dim
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.dt_max is not None:
-        doc["dt_max"] = args.dt_max
-    if args.post_horizon is not None:
-        doc["post_horizon"] = args.post_horizon
+    """``doc`` with each flag given: a flag whose dest is a top-level key sets
+    that key, and ``--particles`` and ``--seed`` set the ``initial`` block's."""
+    for key, val in vars(args).items():
+        if key in _TOP_KEYS and val is not None:
+            doc[key] = val
     initial = doc.get("initial")
     if isinstance(initial, dict):
-        if args.particles is not None:
-            initial["particles"] = args.particles
-        if args.seed is not None:
-            initial["seed"] = args.seed
+        for key in ("particles", "seed"):
+            if getattr(args, key) is not None:
+                initial[key] = getattr(args, key)
     return doc
 
 

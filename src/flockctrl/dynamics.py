@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import Ensemble, FlockingMetrics, SupportBox, flocking_metrics_of, support_box_of
-from .kernels import Kernel, interaction_field
+from .kernels import Kernel, _is_integer, _is_number, interaction_field
 
 
 class IntegrationError(RuntimeError):
@@ -101,18 +100,6 @@ class SpaceBand:
 
 
 BANDS = {"mass_band": MassBand, "space_band": SpaceBand}
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    """A JSON number that is a finite double; JSON's NaN and Infinity, the
-    booleans and an integer past the largest double are not."""
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return _is_integer(x) and abs(x) <= sys.float_info.max
 
 
 # the keys a plan document's piece entry needs, and those of them that are numbers

@@ -29,6 +29,18 @@ _SORT_HINT = np.empty(0, dtype=np.intp)
 _SCRATCH = threading.local()
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number that is a finite double; JSON's NaN and Infinity, the
+    booleans and an integer past the largest double are not."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return _is_integer(x) and abs(x) <= sys.float_info.max
+
+
 def _check_radius(r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
@@ -37,7 +49,16 @@ def _check_radius(r):
 
 
 class Kernel:
-    """Base class: positive nonincreasing influence function."""
+    """Base class: positive nonincreasing influence function.
+
+    A subclass names its JSON ``family`` and maps each of its ``params`` to
+    the type it is read as: ``float`` from a JSON number, ``tuple`` from a
+    list of them.  :meth:`to_dict` and :func:`kernel_from_dict` write and
+    read a kernel through these two.
+    """
+
+    family: str
+    params: dict
 
     def phi(self, r):
         """Evaluate phi(r); accepts scalars or arrays, r >= 0.
@@ -69,13 +90,19 @@ class Kernel:
         return math.inf
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The kernel block of a scenario or a plan document."""
+        doc = {"family": self.family}
+        for k, kind in self.params.items():
+            doc[k] = list(getattr(self, k)) if kind is tuple else getattr(self, k)
+        return doc
 
 
 @dataclass(frozen=True)
 class PowerLawKernel(Kernel):
     """phi(r) = K / (1 + r^2)^gamma, the classical Cucker-Smale rate."""
 
+    family = "power_law"
+    params = {"K": float, "gamma": float}
     K: float = 1.0
     gamma: float = 1.0
 
@@ -128,14 +155,13 @@ class PowerLawKernel(Kernel):
             return math.inf
         return 0.5 * math.sqrt(float(betainccinv(0.5, p, y)) / t)
 
-    def to_dict(self) -> dict:
-        return {"family": "power_law", "K": self.K, "gamma": self.gamma}
-
 
 @dataclass(frozen=True)
 class ExponentialKernel(Kernel):
     """phi(r) = K * exp(-lam * r)."""
 
+    family = "exponential"
+    params = {"K": float, "lam": float}
     K: float = 1.0
     lam: float = 1.0
 
@@ -167,9 +193,6 @@ class ExponentialKernel(Kernel):
         r2 *= self.K
         return r2
 
-    def to_dict(self) -> dict:
-        return {"family": "exponential", "K": self.K, "lam": self.lam}
-
 
 @dataclass(frozen=True)
 class TabulatedKernel(Kernel):
@@ -180,6 +203,8 @@ class TabulatedKernel(Kernel):
     than understated.
     """
 
+    family = "custom"
+    params = {"radii": tuple, "values": tuple}
     radii: tuple = field(default=())
     values: tuple = field(default=())
 
@@ -213,23 +238,37 @@ class TabulatedKernel(Kernel):
             raise ValueError("lower limit must be nonnegative")
         return math.inf
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "custom",
-            "radii": list(self.radii),
-            "values": list(self.values),
-        }
+
+_FAMILIES = {k.family: k for k in (PowerLawKernel, ExponentialKernel, TabulatedKernel)}
 
 
-def kernel_from_dict(spec: dict) -> Kernel:
-    family = spec.get("family")
-    if family == "power_law":
-        return PowerLawKernel(K=float(spec["K"]), gamma=float(spec["gamma"]))
-    if family == "exponential":
-        return ExponentialKernel(K=float(spec["K"]), lam=float(spec["lam"]))
-    if family == "custom":
-        return TabulatedKernel(radii=tuple(spec["radii"]), values=tuple(spec["values"]))
-    raise ValueError(f"unknown kernel family: {family!r}")
+def kernel_from_dict(spec) -> Kernel:
+    """The kernel a ``kernel`` block describes; ValueError at its first flaw.
+
+    The block names a known ``family`` and exactly that family's parameters,
+    each a finite JSON number that is not a boolean, or a list of them where
+    the kernel holds a tuple; the kernel's own ``__post_init__`` then checks
+    their values.
+    """
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise ValueError("kernel spec with a 'family' field is required")
+    family = spec["family"]
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise ValueError(f"bad kernel spec: unknown kernel family: {family!r}")
+    keys = {"family", *cls.params}
+    if set(spec) != keys:
+        raise ValueError(f"bad kernel spec: family {family!r} has exactly the keys {sorted(keys)}")
+    if not all(
+        (isinstance(spec[k], list) and all(map(_is_number, spec[k]))) if kind is tuple
+        else _is_number(spec[k])
+        for k, kind in cls.params.items()
+    ):
+        raise ValueError("kernel parameters must be finite numbers")
+    try:
+        return cls(**{k: kind(spec[k]) for k, kind in cls.params.items()})
+    except ValueError as exc:
+        raise ValueError(f"bad kernel spec: {exc}") from exc
 
 
 def xi_eval(kernel: Kernel, ensemble, x, v) -> np.ndarray:

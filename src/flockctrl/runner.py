@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .control_mass import (
 from .control_space import VolumeBudget
 from .dynamics import (
     _SAMPLE_TOL,
-    _is_integer,
-    _is_number,
     ControlPiece,
     ControlPlan,
     FlightTooLongError,
@@ -52,32 +50,16 @@ from .dynamics import (
 )
 from .ensemble import Ensemble, grid_ensemble, support_box, uniform_box_ensemble
 from .flocking import covering_box_test, theorem3_test
-from .kernels import Kernel, kernel_from_dict
+from .kernels import Kernel, _is_integer, _is_number, kernel_from_dict
 
 SCHEMA_VERSION = 1
 
 _MODES = ("mass", "volume", "none")
-_TOP_KEYS = {
-    "schema_version",
-    "dimension",
-    "kernel",
-    "initial",
-    "mode",
-    "c",
-    "eta",
-    "dt_max",
-    "horizon",
-    "post_horizon",
-    "safety_factor",
-    "step_budget",
-    "out",
-}
 _INITIAL_KEYS = {
     "uniform_box": {"kind", "particles", "seed", "x_low", "x_high", "v_low", "v_high"},
     "grid": {"kind", "x_low", "x_high", "v_low", "v_high", "counts_x", "counts_v"},
     "explicit": {"kind", "x", "v", "w"},
 }
-_KERNEL_NUMBERS = {"K", "gamma", "lam", "radii", "values"}
 _BUDGETS = {"mass": MassBudget, "volume": VolumeBudget}
 
 
@@ -93,14 +75,17 @@ class StrategyFailure(RuntimeError):
     """A synthesis, flight or replay failed after validation; no artifacts are written."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Scenario:
-    dimension: int
+    """A validated scenario.  Each field with a default is the top-level key
+    of that name, and the default is what an omitted key reads as."""
+
+    dimension: int = 1
     kernel: Kernel
     # the initial measure; integrate never writes into it
     ensemble: Ensemble = field(repr=False, compare=False)
-    mode: str
-    c: float | None
+    mode: str = "none"
+    c: float | None = None
     eta: float | None = None
     dt_max: float | None = None
     horizon: float = 10.0
@@ -115,6 +100,13 @@ class Scenario:
 
     def build_ensemble(self) -> Ensemble:
         return self.ensemble
+
+
+# the optional top-level keys and what each reads as when omitted
+_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
+_TOP_KEYS = {"schema_version", "kernel", "initial", *_DEFAULTS}
+# the keys a Scenario holds as floats; JSON may give them as integers
+_FLOATS = [f.name for f in fields(Scenario) if f.type.startswith("float")]
 
 
 def _build_initial(spec: dict) -> Ensemble:
@@ -182,7 +174,8 @@ def _out_problem(out: str) -> str | None:
 
 
 def validate_config(raw: str) -> Scenario:
-    """Parse and validate a JSON scenario, applying documented defaults.
+    """Parse and validate a JSON scenario; an omitted key reads as the
+    default of its ``Scenario`` field.
 
     The kernel and the initial measure are built here once, the measure
     after every other check has passed, and kept on the Scenario; the output
@@ -201,27 +194,21 @@ def validate_config(raw: str) -> Scenario:
         errors.append(f"unknown config keys: {sorted(unknown)}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"schema_version must be {SCHEMA_VERSION}")
+    doc = {**_DEFAULTS, **doc}
 
-    mode = doc.get("mode", "none")
+    mode = doc["mode"]
     if mode not in _MODES:
         errors.append(f"mode must be one of {_MODES}")
-    dim = doc.get("dimension", 1)
+    dim = doc["dimension"]
     if not _is_integer(dim) or dim < 1:
         errors.append("dimension must be a positive integer")
     if mode == "volume" and dim != 1:
         errors.append("volume mode is one-dimensional; set dimension = 1")
 
-    spec = doc.get("kernel")
-    if not isinstance(spec, dict) or "family" not in spec:
-        errors.append("kernel spec with a 'family' field is required")
-    elif not all(_is_number(x) for k, val in spec.items() if k in _KERNEL_NUMBERS
-                 for x in (val if isinstance(val, list) else [val])):
-        errors.append("kernel parameters must be finite numbers")
-    else:
-        try:
-            kernel = kernel_from_dict(spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"bad kernel spec: {exc}")
+    try:
+        kernel = kernel_from_dict(doc.get("kernel"))
+    except ValueError as exc:
+        errors.append(str(exc))
 
     initial = doc.get("initial")
     if not isinstance(initial, dict) or not isinstance(initial.get("kind"), str) \
@@ -249,7 +236,7 @@ def validate_config(raw: str) -> Scenario:
                    if k in ("x_low", "x_high", "v_low", "v_high", "x", "v", "w")):
             errors.append("initial bounds, x, v and w must be finite JSON numbers")
 
-    c = doc.get("c")
+    c = doc["c"]
     if c is not None and not _is_number(c):
         errors.append("c must be a finite number")
     elif mode != "none" and (c is None or c <= 0):
@@ -257,12 +244,12 @@ def validate_config(raw: str) -> Scenario:
     elif mode == "mass" and c > 2:
         # columns hold mass c/2 each, and the total mass is 1
         errors.append("mass budget c must be at most 2")
-    dt_max = doc.get("dt_max")
+    dt_max = doc["dt_max"]
     dt_ok = dt_max is None or (_is_number(dt_max) and dt_max > 0)
     if not dt_ok:
         errors.append("dt_max must be a positive finite number")
     for key in ("horizon", "post_horizon"):
-        val = doc.get(key, 10.0)
+        val = doc[key]
         if not _is_number(val) or val < 0:
             errors.append(f"{key} must be a nonnegative finite number")
         elif dt_ok:
@@ -271,16 +258,16 @@ def validate_config(raw: str) -> Scenario:
                 flight_segments(ControlPlan(), val, dt_max)
             except FlightTooLongError as exc:
                 errors.append(f"{key} {val!r}: {exc}")
-    sf = doc.get("safety_factor", 0.99)
+    sf = doc["safety_factor"]
     if not _is_number(sf) or not 0 < sf <= 1:
         errors.append("safety_factor must lie in (0, 1]")
-    budget = doc.get("step_budget", 100_000)
+    budget = doc["step_budget"]
     if not _is_integer(budget) or budget < 1:
         errors.append("step_budget must be a positive integer")
-    eta = doc.get("eta")
+    eta = doc["eta"]
     if eta is not None and (not _is_number(eta) or eta <= 0):
         errors.append("eta must be a positive finite number")
-    out = doc.get("out")
+    out = doc["out"]
     if out is not None and not isinstance(out, str):
         errors.append("out must be a string naming a directory")
     elif out is not None and (problem := _out_problem(out)):
@@ -292,7 +279,7 @@ def validate_config(raw: str) -> Scenario:
     # grid, whose size nothing bounds, is never built for a rejected config
     try:
         e = _build_initial(initial)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a count past a C long
         raise ConfigError([f"bad initial measure: {exc}"]) from exc
     except MemoryError as exc:
         asked = {k: initial[k] for k in ("particles", "counts_x", "counts_v") if k in initial}
@@ -306,20 +293,9 @@ def validate_config(raw: str) -> Scenario:
         errors.append(f"initial measure has dimension {e.d}, scenario says {dim}")
     if errors:
         raise ConfigError(errors)
-    return Scenario(
-        dimension=dim,
-        kernel=kernel,
-        ensemble=e,
-        mode=mode,
-        c=float(c) if c is not None else None,
-        eta=float(eta) if eta is not None else None,
-        dt_max=float(dt_max) if dt_max is not None else None,
-        horizon=float(doc.get("horizon", 10.0)),
-        post_horizon=float(doc.get("post_horizon", 10.0)),
-        safety_factor=float(sf),
-        step_budget=budget,
-        out=out,
-    )
+    values = {k: doc[k] for k in _DEFAULTS}
+    values.update((k, float(values[k])) for k in _FLOATS if values[k] is not None)
+    return Scenario(kernel=kernel, ensemble=e, **values)
 
 
 def _box_dict(box) -> dict:

@@ -169,6 +169,8 @@ _MINIMAL = {
     "post_horizon": 1.0,
     "step_budget": 5,
 }
+_GRID = {"kind": "grid", "x_low": 0.0, "x_high": 1.0, "v_low": 0.0, "v_high": 1.0,
+         "counts_x": 3, "counts_v": 2}
 _PIECE_DOC = {
     "t_start": 0.0, "t_end": 0.1, "kind": "mass_band", "axis": 0, "t_ref": 0.0,
     "x_shift": 0.0, "v_shift": 0.0, "dt": 0.05,
@@ -274,6 +276,12 @@ def _run(scenario, replay):
     "pieces": [dict(_PIECE_DOC, t_end="0.5")]}}))
 @example(scenario=_MINIMAL, replay=("doc", {"schema_version": 1, "dimension": 1, "plan": {
     "pieces": [dict(_PIECE_DOC, params=dict(_PIECE_DOC["params"], eps=0))]}}))
+# grid counts past a C long, once an OverflowError in grid_ensemble
+@example(scenario=dict(_MINIMAL, initial=dict(_GRID, counts_x=10**400)), replay=None)
+@example(scenario=dict(_MINIMAL, initial=dict(_GRID, counts_x=[10**30])), replay=None)
+# a key of another family in a kernel block, once ignored
+@example(scenario=dict(_MINIMAL, kernel={"family": "exponential", "K": 1, "lam": 1, "gamma": 5}),
+         replay=None)
 def test_cli_exits_0_2_or_3_without_a_traceback(scenario, replay):
     status, err = _run(scenario, replay)
     event(f"exit {status}")

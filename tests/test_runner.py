@@ -20,15 +20,19 @@ from flockctrl import (
     ControlPlan,
     ExponentialKernel,
     MassBudget,
+    PowerLawKernel,
     Scenario,
+    TabulatedKernel,
     VolumeBudget,
     complete_strategy,
     integrate,
+    kernel_from_dict,
     replay_plan,
     run_scenario,
     uniform_box_ensemble,
     validate_config,
 )
+from flockctrl import cli
 from flockctrl.cli import main as cli_main
 from flockctrl.dynamics import ControlPiece
 from flockctrl.runner import _parse_plan, _write_json, dump_json
@@ -189,6 +193,37 @@ class TestValidateConfig:
         assert s.step_budget == 100_000
         assert s.post_horizon == 10.0
         assert s.c is None
+        # every key MINIMAL omits reads as its Scenario field's default
+        omitted = [f for f in dataclasses.fields(Scenario)
+                   if f.default is not dataclasses.MISSING and f.name not in MINIMAL]
+        assert {f.name for f in omitted} == {
+            "c", "eta", "dt_max", "post_horizon", "safety_factor", "step_budget", "out"
+        }
+        for f in omitted:
+            assert getattr(s, f.name) == f.default, f.name
+
+    @pytest.mark.parametrize(
+        "kernel, stray",
+        [
+            (PowerLawKernel(2.0, 1.5), "lam"),
+            (ExponentialKernel(1.0, 0.5), "gamma"),
+            (TabulatedKernel((0.0, 2.0), (1.0, 0.25)), "K"),
+        ],
+        ids=["power_law", "exponential", "custom"],
+    )
+    def test_a_kernel_block_has_exactly_its_familys_keys(self, kernel, stray):
+        spec = kernel.to_dict()
+        assert kernel_from_dict(spec) == kernel
+        assert _scenario(dict(MINIMAL, kernel=spec)).kernel == kernel
+        keys = sorted(spec)
+        message = f"bad kernel spec: family {spec['family']!r} has exactly the keys {keys}"
+        with pytest.raises(ConfigError) as exc_info:
+            _scenario(dict(MINIMAL, kernel=dict(spec, **{stray: 5})))
+        assert exc_info.value.errors == [message]
+        del spec[next(iter(kernel.params))]
+        with pytest.raises(ConfigError) as exc_info:
+            _scenario(dict(MINIMAL, kernel=spec))
+        assert exc_info.value.errors == [message]
 
     def test_zero_budget_rejected_in_mass_mode(self):
         doc = dict(MINIMAL, mode="mass", c=0.0)
@@ -951,6 +986,48 @@ class TestCli:
         assert err.count("config error") == 1
         assert "10000000000" in err and "memory" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("counts_x", [10**400, [10**30]], ids=["scalar", "list"])
+    def test_exit_two_on_grid_counts_past_a_c_long(self, tmp_path, capsys, counts_x):
+        grid = dict(self._GRID, counts_x=counts_x)
+        cfg = self._write_config(tmp_path, dict(MINIMAL, initial=grid))
+        assert cli_main(["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad initial measure: ")
+        assert err.count("config error") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, key, expected",
+        [
+            ("--mode", "volume", "mode", "volume"),
+            ("--c", "0.25", "c", 0.25),
+            ("--dim", "2", "dimension", 2),
+            ("--out", "runs", "out", None),
+            ("--dt-max", "0.05", "dt_max", 0.05),
+            ("--post-horizon", "1.5", "post_horizon", 1.5),
+            ("--particles", "7", "particles", 7),
+            ("--seed", "11", "seed", 11),
+        ],
+    )
+    def test_each_override_flag_lands_in_its_scenario_field(
+        self, tmp_path, flag, value, key, expected
+    ):
+        if key == "out":
+            value = expected = str(tmp_path / value)
+        initial = dict(MASS_SMALL["initial"])
+        if key == "dimension":  # a 2-D box, which only --dim 2 makes valid
+            initial.update(x_low=[0.0, 0.0], x_high=[0.3, 0.3], v_low=[0.0, 0.0], v_high=[0.3, 0.3])
+        args = cli.build_parser().parse_args(["--config", "scenario.json", flag, value])
+        doc = cli._apply_overrides(dict(MASS_SMALL, initial=initial), args)
+        s = validate_config(json.dumps(doc))
+        if key in ("particles", "seed"):  # keys of the initial block, read into the measure
+            by_hand = dict(MASS_SMALL["initial"], **{key: expected})
+            direct = _scenario(dict(MASS_SMALL, initial=by_hand))
+            assert np.array_equal(s.ensemble.x, direct.ensemble.x)
+            assert np.array_equal(s.ensemble.v, direct.ensemble.v)
+            assert not np.array_equal(s.ensemble.x, _scenario(MASS_SMALL).ensemble.x)
+        else:
+            assert getattr(s, key) == expected
 
     def test_exit_two_on_missing_file(self, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "absent.json")]) == 2
