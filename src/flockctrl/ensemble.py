@@ -204,6 +204,11 @@ def _cdf(values: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
     return cum[np.searchsorted(values[order], t, side="right")] / cum[-1]
 
 
+def _bounds(*bounds) -> list[np.ndarray]:
+    """Each box bound as a float array of at least one dimension."""
+    return [np.atleast_1d(np.asarray(b, dtype=float)) for b in bounds]
+
+
 def uniform_box_ensemble(
     n: int,
     x_low,
@@ -213,10 +218,7 @@ def uniform_box_ensemble(
     seed: int = 0,
 ) -> Ensemble:
     """Equal-weight sample of n particles uniform on a position x velocity box."""
-    x_low = np.atleast_1d(np.asarray(x_low, dtype=float))
-    x_high = np.atleast_1d(np.asarray(x_high, dtype=float))
-    v_low = np.atleast_1d(np.asarray(v_low, dtype=float))
-    v_high = np.atleast_1d(np.asarray(v_high, dtype=float))
+    x_low, x_high, v_low, v_high = _bounds(x_low, x_high, v_low, v_high)
     if not all(np.all(np.isfinite(b)) for b in (x_low, x_high, v_low, v_high)):
         raise ValueError("box bounds must be finite")
     rng = np.random.default_rng(seed)
@@ -231,10 +233,7 @@ def grid_ensemble(x_low, x_high, v_low, v_high, counts_x, counts_v) -> Ensemble:
 
     counts_x and counts_v each give one count for every axis, or one per axis.
     """
-    x_low = np.atleast_1d(np.asarray(x_low, dtype=float))
-    x_high = np.atleast_1d(np.asarray(x_high, dtype=float))
-    v_low = np.atleast_1d(np.asarray(v_low, dtype=float))
-    v_high = np.atleast_1d(np.asarray(v_high, dtype=float))
+    x_low, x_high, v_low, v_high = _bounds(x_low, x_high, v_low, v_high)
     counts = []
     for m, bounds in ((counts_x, x_low), (counts_v, v_low)):
         m = np.asarray(m, dtype=int)

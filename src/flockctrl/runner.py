@@ -55,11 +55,6 @@ from .kernels import Kernel, _is_integer, _is_number, kernel_from_dict
 SCHEMA_VERSION = 1
 
 _MODES = ("mass", "volume", "none")
-_INITIAL_KEYS = {
-    "uniform_box": {"kind", "particles", "seed", "x_low", "x_high", "v_low", "v_high"},
-    "grid": {"kind", "x_low", "x_high", "v_low", "v_high", "counts_x", "counts_v"},
-    "explicit": {"kind", "x", "v", "w"},
-}
 _BUDGETS = {"mass": MassBudget, "volume": VolumeBudget}
 
 
@@ -109,26 +104,6 @@ _TOP_KEYS = {"schema_version", "kernel", "initial", *_DEFAULTS}
 _FLOATS = [f.name for f in fields(Scenario) if f.type.startswith("float")]
 
 
-def _build_initial(spec: dict) -> Ensemble:
-    """The initial measure an ``initial`` block describes."""
-    kind = spec["kind"]
-    if kind == "uniform_box":
-        return uniform_box_ensemble(
-            n=int(spec["particles"]),
-            x_low=spec["x_low"],
-            x_high=spec["x_high"],
-            v_low=spec["v_low"],
-            v_high=spec["v_high"],
-            seed=int(spec.get("seed", 0)),
-        )
-    if kind == "grid":
-        return grid_ensemble(
-            spec["x_low"], spec["x_high"], spec["v_low"], spec["v_high"],
-            spec["counts_x"], spec["counts_v"],
-        )
-    return Ensemble.from_points(spec["x"], spec["v"], spec.get("w"))
-
-
 @dataclass
 class RunSummary:
     mode: str
@@ -157,6 +132,35 @@ def _is_count(x) -> bool:
     """A positive JSON integer, or a nonempty list of them."""
     entries = x if isinstance(x, list) and x else [x]
     return all(_is_integer(m) and m >= 1 for m in entries)
+
+
+# each initial kind's builder, its keys in the builder's argument order, and
+# what its optional keys read as when omitted
+_INITIAL_KINDS = {
+    "uniform_box": (uniform_box_ensemble,
+                    ("particles", "x_low", "x_high", "v_low", "v_high", "seed"), {"seed": 0}),
+    "grid": (grid_ensemble, ("x_low", "x_high", "v_low", "v_high", "counts_x", "counts_v"), {}),
+    "explicit": (Ensemble.from_points, ("x", "v", "w"), {"w": None}),
+}
+_NUMBERS = "initial bounds, x, v and w must be finite JSON numbers"
+_COUNTS = "initial.counts_x and counts_v must be positive integers or lists"
+# each initial key's rule and the message a value that breaks it gets, in the
+# order the messages are reported; keys that share a message report it once
+_INITIAL_RULES = {
+    "particles": (lambda n: _is_integer(n) and n >= 1,
+                  "initial.particles must be a positive integer"),
+    "seed": (lambda s: _is_integer(s) and s >= 0, "initial.seed must be a nonnegative integer"),
+    "counts_x": (_is_count, _COUNTS),
+    "counts_v": (_is_count, _COUNTS),
+    **dict.fromkeys(("x_low", "x_high", "v_low", "v_high", "x", "v"), (_is_numbers, _NUMBERS)),
+    "w": (lambda w: w is None or _is_numbers(w), _NUMBERS),
+}
+
+
+def _build_initial(spec: dict) -> Ensemble:
+    """The initial measure a checked ``initial`` block, its defaults filled, describes."""
+    build, keys, _ = _INITIAL_KINDS[spec["kind"]]
+    return build(*(spec[k] for k in keys))
 
 
 def _out_problem(out: str) -> str | None:
@@ -211,35 +215,25 @@ def validate_config(raw: str) -> Scenario:
         errors.append(str(exc))
 
     initial = doc.get("initial")
-    if not isinstance(initial, dict) or not isinstance(initial.get("kind"), str) \
-            or initial["kind"] not in _INITIAL_KEYS:
-        errors.append(
-            "initial measure spec with kind in "
-            f"{sorted(_INITIAL_KEYS)} is required"
-        )
+    kind = initial.get("kind") if isinstance(initial, dict) else None
+    if not isinstance(kind, str) or kind not in _INITIAL_KINDS:
+        errors.append(f"initial measure spec with kind in {sorted(_INITIAL_KINDS)} is required")
     else:
-        allowed = _INITIAL_KEYS[initial["kind"]]
-        bad = set(initial) - allowed
-        if bad:
-            errors.append(f"unknown initial-measure keys: {sorted(bad)}")
-        n = initial.get("particles")
-        seed = initial.get("seed", 0)
-        if initial["kind"] == "uniform_box" and (not _is_integer(n) or n < 1):
-            errors.append("initial.particles must be a positive integer")
-        elif initial["kind"] == "uniform_box" and (not _is_integer(seed) or seed < 0):
-            errors.append("initial.seed must be a nonnegative integer")
-        elif initial["kind"] == "grid" and not all(
-            _is_count(initial.get(k)) for k in ("counts_x", "counts_v")
-        ):
-            errors.append("initial.counts_x and counts_v must be positive integers or lists")
-        if not all(_is_numbers(val) or (k == "w" and val is None) for k, val in initial.items()
-                   if k in ("x_low", "x_high", "v_low", "v_high", "x", "v", "w")):
-            errors.append("initial bounds, x, v and w must be finite JSON numbers")
+        _, keys, defaults = _INITIAL_KINDS[kind]
+        initial = {**defaults, **initial}
+        unknown = set(initial) - {"kind", *keys}
+        if unknown:
+            errors.append(f"unknown initial-measure keys: {sorted(unknown)}")
+        missing = [k for k in keys if k not in initial]
+        if missing:
+            errors.append(f"initial kind {kind!r} needs the keys {missing}")
+        errors.extend(dict.fromkeys(message for k, (rule, message) in _INITIAL_RULES.items()
+                                    if k in keys and k in initial and not rule(initial[k])))
 
     c = doc["c"]
     if c is not None and not _is_number(c):
         errors.append("c must be a finite number")
-    elif mode != "none" and (c is None or c <= 0):
+    elif mode in _MODES and mode != "none" and (c is None or c <= 0):
         errors.append("budget must be positive when mode is not 'none'")
     elif mode == "mass" and c > 2:
         # columns hold mass c/2 each, and the total mass is 1
@@ -279,7 +273,7 @@ def validate_config(raw: str) -> Scenario:
     # grid, whose size nothing bounds, is never built for a rejected config
     try:
         e = _build_initial(initial)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a count past a C long
+    except (TypeError, ValueError, OverflowError) as exc:  # a count past a C long
         raise ConfigError([f"bad initial measure: {exc}"]) from exc
     except MemoryError as exc:
         asked = {k: initial[k] for k in ("particles", "counts_x", "counts_v") if k in initial}

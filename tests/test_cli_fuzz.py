@@ -279,6 +279,10 @@ def _run(scenario, replay):
 # grid counts past a C long, once an OverflowError in grid_ensemble
 @example(scenario=dict(_MINIMAL, initial=dict(_GRID, counts_x=10**400)), replay=None)
 @example(scenario=dict(_MINIMAL, initial=dict(_GRID, counts_x=[10**30])), replay=None)
+# an initial block without a key its kind needs, once a KeyError's repr
+@example(scenario=dict(_MINIMAL, initial={k: v for k, v in _MINIMAL["initial"].items()
+                                          if k != "x_low"}), replay=None)
+@example(scenario=dict(_MINIMAL, initial={"kind": "explicit", "x": [0.0, 1.0]}), replay=None)
 # a key of another family in a kernel block, once ignored
 @example(scenario=dict(_MINIMAL, kernel={"family": "exponential", "K": 1, "lam": 1, "gamma": 5}),
          replay=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -224,6 +225,67 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as exc_info:
             _scenario(dict(MINIMAL, kernel=spec))
         assert exc_info.value.errors == [message]
+
+    # a block of each initial kind with every key it takes, and the keys it needs
+    _INITIAL_BLOCKS = {
+        "uniform_box": (MINIMAL["initial"], ["particles", "x_low", "x_high", "v_low", "v_high"]),
+        "grid": ({"kind": "grid", "x_low": 0.0, "x_high": 1.0, "v_low": 0.0, "v_high": 1.0,
+                  "counts_x": 3, "counts_v": 2},
+                 ["x_low", "x_high", "v_low", "v_high", "counts_x", "counts_v"]),
+        "explicit": ({"kind": "explicit", "x": [0.0, 1.0], "v": [0.0, 0.5], "w": [0.5, 0.5]},
+                     ["x", "v"]),
+    }
+
+    @pytest.mark.parametrize("kind", list(_INITIAL_BLOCKS))
+    def test_an_initial_block_without_a_key_its_kind_needs_names_the_key(self, kind):
+        block, needed = self._INITIAL_BLOCKS[kind]
+        assert _scenario(dict(MINIMAL, initial=block)).ensemble.n >= 2
+        for key in needed:
+            doc = dict(MINIMAL, initial={k: v for k, v in block.items() if k != key})
+            with pytest.raises(ConfigError) as exc_info:
+                _scenario(doc)
+            assert exc_info.value.errors == [f"initial kind {kind!r} needs the keys [{key!r}]"]
+        # the optional keys may be left out
+        optional = set(block) - {"kind", *needed}
+        _scenario(dict(MINIMAL, initial={k: v for k, v in block.items() if k not in optional}))
+
+    def test_the_initial_table_matches_its_builders(self):
+        from flockctrl import runner
+
+        for kind, (build, keys, defaults) in runner._INITIAL_KINDS.items():
+            params = inspect.signature(build).parameters.values()
+            # uniform_box's particles is uniform_box_ensemble's n
+            assert keys == tuple("particles" if p.name == "n" else p.name for p in params), kind
+            assert defaults == {
+                key: p.default for key, p in zip(keys, params) if p.default is not p.empty
+            }, kind
+        kind_keys = {key for _, keys, _ in runner._INITIAL_KINDS.values() for key in keys}
+        assert kind_keys == set(runner._INITIAL_RULES)
+
+    def test_a_bad_particles_and_a_bad_seed_are_both_reported(self):
+        doc = dict(MINIMAL, initial=dict(MINIMAL["initial"], particles=0, seed=-1))
+        with pytest.raises(ConfigError) as exc_info:
+            _scenario(doc)
+        assert exc_info.value.errors == [
+            "initial.particles must be a positive integer",
+            "initial.seed must be a nonnegative integer",
+        ]
+
+    def test_keys_that_share_a_rule_share_its_one_message(self):
+        doc = dict(MINIMAL, initial={"kind": "grid", "x_low": "0", "x_high": 1.0, "v_low": None,
+                                     "v_high": 1.0, "counts_x": 0, "counts_v": [True]})
+        with pytest.raises(ConfigError) as exc_info:
+            _scenario(doc)
+        assert exc_info.value.errors == [
+            "initial.counts_x and counts_v must be positive integers or lists",
+            "initial bounds, x, v and w must be finite JSON numbers",
+        ]
+
+    @pytest.mark.parametrize("mode", [None, "x", ["mass"]], ids=["null", "unknown", "list"])
+    def test_a_bad_mode_without_a_budget_is_one_error(self, mode):
+        with pytest.raises(ConfigError) as exc_info:
+            _scenario(dict(MINIMAL, mode=mode))
+        assert exc_info.value.errors == ["mode must be one of ('mass', 'volume', 'none')"]
 
     def test_zero_budget_rejected_in_mass_mode(self):
         doc = dict(MINIMAL, mode="mass", c=0.0)
